@@ -600,7 +600,27 @@ let e17 () =
   row "  combined U-approx at n=2000: certified-only %g vs combined %g@."
     (Table.dist_upd certified t2) (Table.dist_upd combined t2);
   check "combined never worse"
-    (Table.dist_upd combined t2 <= Table.dist_upd certified t2 +. 1e-9)
+    (Table.dist_upd combined t2 <= Table.dist_upd certified t2 +. 1e-9);
+  (* Scaling of the combined approximation: the domain grows with n, so
+     lhs groups keep their size and the work is linear in n. Best of three
+     runs per size. *)
+  let best_ms n =
+    let t = dirty rng D.r3_schema D.delta_a_to_b_to_c ~n ~noise:0.05 ~dom:(n / 2) in
+    let once () =
+      let t0 = Unix.gettimeofday () in
+      ignore (R.Urepair.U_approx.best D.delta_a_to_b_to_c t);
+      (Unix.gettimeofday () -. t0) *. 1000.0
+    in
+    let ms = List.fold_left min infinity (List.init 3 (fun _ -> once ())) in
+    record ~n ~noise:0.05 ~solver:(Printf.sprintf "u-approx-best-%dk" (n / 1000))
+      ~wall_ms:ms ();
+    ms
+  in
+  let ms2 = best_ms 2_000 in
+  let ms8 = best_ms 8_000 in
+  row "  U_approx.best on the hard Δ: %.1f ms at n=2000, %.1f ms at n=8000 (%.1fx)@."
+    ms2 ms8 (ms8 /. ms2);
+  check "U_approx.best scales near-linearly (8k/2k <= 8x)" (ms8 <= 8.0 *. ms2)
 
 (* ----------------------------------------------------------------- E18 *)
 

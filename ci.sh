@@ -60,13 +60,19 @@ dune exec bin/repair_cli.exe -- profile --check "$tdir/out.json"
 
 # CLI determinism across --domains: the same repair at 1 and 4 domains
 # must write byte-identical repaired tables and reports (DESIGN §13).
-for sub in s-repair u-repair; do
-  dune exec bin/repair_cli.exe -- "$sub" -f "A -> B; B -> C" \
-    --domains 1 "$tdir/t.csv" -o "$tdir/d1.csv" > "$tdir/d1.out"
-  dune exec bin/repair_cli.exe -- "$sub" -f "A -> B; B -> C" \
-    --domains 4 "$tdir/t.csv" -o "$tdir/d4.csv" > "$tdir/d4.out"
-  cmp "$tdir/d1.csv" "$tdir/d4.csv"
-  cmp "$tdir/d1.out" "$tdir/d4.out"
+# The 3-row table takes the exact rungs; the generated 2,500-row one is
+# past them, so S_approx.approx2_par and U_approx.best are compared too.
+dune exec bin/repair_cli.exe -- generate -f "A -> B; B -> C" -a "A B C D" \
+  --size 2500 --domain 1000 --noise 0.05 --seed 101 -o "$tdir/big.csv"
+for input in t.csv big.csv; do
+  for sub in s-repair u-repair; do
+    dune exec bin/repair_cli.exe -- "$sub" -f "A -> B; B -> C" \
+      --domains 1 "$tdir/$input" -o "$tdir/d1.csv" > "$tdir/d1.out"
+    dune exec bin/repair_cli.exe -- "$sub" -f "A -> B; B -> C" \
+      --domains 4 "$tdir/$input" -o "$tdir/d4.csv" > "$tdir/d4.out"
+    cmp "$tdir/d1.csv" "$tdir/d4.csv"
+    cmp "$tdir/d1.out" "$tdir/d4.out"
+  done
 done
 
 # Journal format upgrade (DESIGN §14): a legacy plain-JSONL journal

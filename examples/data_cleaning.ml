@@ -27,9 +27,8 @@ let () =
   let t =
     Table.map_weights t0 (fun i _ -> if i mod 2 = 0 then 2.0 else 1.0)
   in
-  let violations = Fd_set.violations fds t in
   Fmt.pr "Log: %d tuples, %d conflicting pairs.@." (Table.size t)
-    (List.length violations);
+    R.Srepair.Conflict_graph.(n_conflicts (build fds t));
 
   (* Δ0 = {product → price, buyer → email} decomposes into two
      attribute-disjoint single-FD components: U-repairs are tractable

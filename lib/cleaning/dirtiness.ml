@@ -12,7 +12,13 @@ type estimate = {
 }
 
 let estimate d tbl =
-  let conflicts = List.length (Fd_set.violations d tbl) in
+  (* [violations] lists a pair once per FD it violates; count pairs. *)
+  let conflicts =
+    Fd_set.violations d tbl
+    |> List.map (fun (i, j, _) -> (i, j))
+    |> List.sort_uniq compare
+    |> List.length
+  in
   let deletions_lower, deletions_upper, deletions_exact =
     match Repair_srepair.Opt_s_repair.distance d tbl with
     | Ok dist -> (dist, dist, true)

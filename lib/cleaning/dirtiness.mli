@@ -14,7 +14,9 @@ open Repair_relational
 open Repair_fd
 
 type estimate = {
-  conflicts : int;  (** number of violating tuple pairs *)
+  conflicts : int;
+      (** number of violating tuple pairs, each counted once however many
+          FDs it violates: the edges of the conflict graph *)
   deletions_lower : float;
   deletions_upper : float;  (** bounds on the optimal S-repair distance *)
   deletions_exact : bool;

@@ -144,24 +144,51 @@ let components d =
 let pair_consistent d schema t1 t2 =
   List.for_all (Fd.holds_on schema t1 t2) d
 
+(* A pair violates X → Y iff it shares an X-group and falls into two
+   different Y-subgroups of it. So per FD: partition the visible
+   positions on X, split each group of two or more on Y, and cross the
+   subgroups; a group that agrees on Y splits into one subgroup and
+   yields nothing. Positions follow id order, so sorting the
+   (position, position, FD index) triples restores the all-pairs order. *)
 let violations d tbl =
-  let schema = Table.schema tbl in
-  let rows = List.map (fun i -> (i, Table.tuple tbl i)) (Table.ids tbl) in
-  let rec per_first acc = function
-    | [] -> acc
-    | (i, ti) :: rest ->
-      let acc =
-        List.fold_left
-          (fun acc (j, tj) ->
-            List.fold_left
-              (fun acc fd ->
-                if Fd.holds_on schema ti tj fd then acc else (i, j, fd) :: acc)
-              acc d)
-          acc rest
-      in
-      per_first acc rest
-  in
-  List.rev (per_first [] rows)
+  let n = Table.View.length tbl in
+  if n < 2 then []
+  else begin
+    let all = Array.init n Fun.id in
+    let found = ref [] in
+    List.iteri
+      (fun f fd ->
+        List.iter
+          (fun group ->
+            if Array.length group > 1 then begin
+              let rec cross = function
+                | [] -> ()
+                | g1 :: rest ->
+                  List.iter
+                    (fun g2 ->
+                      Array.iter
+                        (fun p ->
+                          Array.iter
+                            (fun q -> found := (min p q, max p q, f) :: !found)
+                            g2)
+                        g1)
+                    rest;
+                  cross rest
+              in
+              cross (Table.View.group_within tbl group (Fd.rhs fd))
+            end)
+          (Table.View.group_within tbl all (Fd.lhs fd)))
+      d;
+    let by_pair (p1, q1, f1) (p2, q2, f2) =
+      if p1 <> p2 then Int.compare p1 p2
+      else if q1 <> q2 then Int.compare q1 q2
+      else Int.compare f1 f2
+    in
+    let fds = Array.of_list d in
+    List.sort by_pair !found
+    |> List.map (fun (p, q, f) ->
+           (Table.View.id tbl p, Table.View.id tbl q, fds.(f)))
+  end
 
 (* Satisfaction is checked FD by FD, grouping on the lhs projection: a
    table satisfies X → Y iff within every lhs group all rhs projections are

@@ -116,7 +116,15 @@ val components : t -> t list
 val satisfied_by : t -> Table.t -> bool
 
 (** [violations d tbl] lists all [(i, j, fd)] with [i < j] such that tuples
-    [T[i]], [T[j]] jointly violate [fd]. *)
+    [T[i]], [T[j]] jointly violate [fd]; a pair that violates several FDs
+    appears once per FD. The list is sorted by [i], then [j], then the
+    position of [fd] in [d].
+
+    Pairs are only sought inside each FD's lhs groups, and groups that
+    agree on the rhs are skipped, so the cost is O(|Δ|·n + v log v) for
+    n tuples and v listed violations (one hash partition per FD, then a
+    sort of the output), not the O(|Δ|·n²) of testing every pair. Tables
+    with fewer than two tuples give [[]] without consulting the schema. *)
 val violations : t -> Table.t -> (Table.id * Table.id * Fd.t) list
 
 (** [pair_consistent d schema t1 t2] holds iff [{t1, t2}] satisfies [d]. *)

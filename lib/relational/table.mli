@@ -170,6 +170,9 @@ val union : t -> t -> t
 val map_tuples : t -> (id -> Tuple.t -> Tuple.t) -> t
 
 (** [set_tuple tbl i tp] replaces the tuple at [i], keeping its weight.
+    Every call copies the whole store (O(n)), so a loop that changes many
+    tuples should collect its changes and apply them in one
+    {!map_tuples}.
     @raise Not_found if [i ∉ ids(T)]. *)
 val set_tuple : t -> id -> Tuple.t -> t
 

@@ -1,17 +1,31 @@
 open Repair_relational
 open Repair_fd
 
+(* Replace the tuples of the ids bound in [changes] with one store copy
+   for the whole batch ([Table.set_tuple] would copy it once per tuple). *)
+let apply changes tbl =
+  if Hashtbl.length changes = 0 then tbl
+  else
+    Table.map_tuples tbl (fun i t ->
+        Option.value (Hashtbl.find_opt changes i) ~default:t)
+
 (* One sweep: for each FD X → Y and each X-group, overwrite every tuple's
    Y-projection with the group's weighted-majority Y-projection. A sweep
    resolves each FD in isolation; sweeps are iterated because fixing one
-   FD's rhs can re-group another's lhs. *)
+   FD's rhs can re-group another's lhs. The X-groups of one FD are
+   disjoint and each vote reads only its own group, so an FD's pass
+   collects its changes and applies them at once. *)
 let vote_sweep d tbl =
   let schema = Table.schema tbl in
   List.fold_left
     (fun tbl fd ->
-      let groups = Table.group_by tbl (Fd.lhs fd) in
-      List.fold_left
-        (fun tbl (_, sub) ->
+      let rhs_attrs =
+        Schema.indices_of schema (Fd.rhs fd)
+        |> List.map (Schema.attribute_at schema)
+      in
+      let changes = Hashtbl.create 64 in
+      List.iter
+        (fun (_, sub) ->
           let totals = Hashtbl.create 8 in
           Table.iter
             (fun _ t w ->
@@ -28,29 +42,26 @@ let vote_sweep d tbl =
               totals None
           in
           match majority with
-          | None -> tbl
+          | None -> ()
           | Some (rhs_values, _) ->
-            let rhs_attrs =
-              Schema.indices_of schema (Fd.rhs fd)
-              |> List.map (Schema.attribute_at schema)
-            in
-            List.fold_left
-              (fun tbl i ->
-                let t = Table.tuple tbl i in
+            Table.iter
+              (fun i t _ ->
                 let t' =
                   List.fold_left2
                     (fun acc a v -> Tuple.set_attr schema acc a v)
                     t rhs_attrs (Tuple.values rhs_values)
                 in
-                if Tuple.equal t t' then tbl else Table.set_tuple tbl i t')
-              tbl (Table.ids sub))
-        tbl groups)
+                if not (Tuple.equal t t') then Hashtbl.replace changes i t')
+              sub)
+        (Table.group_by tbl (Fd.lhs fd));
+      apply changes tbl)
     tbl
     (Fd_set.to_list d)
 
 (* Fallback: give every tuple still involved in a violation a fresh
    constant on a minimum lhs cover — afterwards it shares no lhs with
-   anything, so all violations involving it vanish. *)
+   anything, so all violations involving it vanish. Constants are handed
+   out in ascending-id order. *)
 let isolate_violators d tbl =
   let violators =
     Fd_set.violations d tbl
@@ -62,16 +73,16 @@ let isolate_violators d tbl =
     let schema = Table.schema tbl in
     let cover = Lhs_analysis.lhs_cover d in
     let supply = Value.Supply.starting_above (Table.all_values tbl) in
-    List.fold_left
-      (fun tbl i ->
+    let changes = Hashtbl.create (List.length violators) in
+    List.iter
+      (fun i ->
         let fresh = Value.Supply.next supply in
-        let t =
-          Attr_set.fold
-            (fun a acc -> Tuple.set_attr schema acc a fresh)
-            cover (Table.tuple tbl i)
-        in
-        Table.set_tuple tbl i t)
-      tbl violators
+        Hashtbl.replace changes i
+          (Attr_set.fold
+             (fun a acc -> Tuple.set_attr schema acc a fresh)
+             cover (Table.tuple tbl i)))
+      violators;
+    apply changes tbl
   end
 
 let local_repair ?(max_rounds = 4) d tbl =

@@ -15,7 +15,13 @@ open Repair_fd
     up to [max_rounds] (default 4) voting sweeps — per FD and lhs group,
     every tuple adopts the group's weighted-majority rhs values — then, if
     violations persist (FD interactions can oscillate), the remaining
-    violators get fresh constants on a minimum lhs cover.
+    violators get fresh constants on a minimum lhs cover, in ascending-id
+    order.
+
+    For n tuples, a round costs O(|Δ|·n log n): per FD one lhs grouping,
+    one hash vote per group, and one {!Table.map_tuples} for the tuples
+    that change, plus the satisfaction check. The isolation pass adds the
+    cost of {!Fd_set.violations}.
 
     @raise Invalid_argument if Δ is not consensus-free (eliminate
     consensus attributes first, as {!U_approx.best} does). *)

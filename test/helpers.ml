@@ -63,6 +63,50 @@ let gen_fd_set ?(max_fds = 3) schema =
     int_range 1 max_fds >>= fun n ->
     list_repeat n (gen_fd schema) |> map Fd_set.of_list)
 
+(* Any FD over [schema]: the rhs is any nonempty attribute set, so
+   multi-attribute and trivial FDs occur; the lhs may be empty (a
+   consensus FD ∅ → Y) unless [consensus] is false. *)
+let gen_any_fd ?(consensus = true) schema =
+  let attrs = Schema.attributes schema in
+  let subset mask =
+    Attr_set.of_list (List.filteri (fun i _ -> mask land (1 lsl i) <> 0) attrs)
+  in
+  let full = (1 lsl List.length attrs) - 1 in
+  QCheck2.Gen.(
+    map2
+      (fun l r -> Fd.make (subset l) (subset r))
+      (int_range (if consensus then 0 else 1) full)
+      (int_range 1 full))
+
+(* ---------- oracles ---------- *)
+
+(* The all-pairs violation scan: every pair i < j in id order, then every
+   FD in Δ order. [Fd_set.violations] looks only inside lhs groups and
+   must return exactly this list, order included. *)
+let violations_all_pairs d tbl =
+  let schema = Table.schema tbl in
+  let rows = List.map (fun i -> (i, Table.tuple tbl i)) (Table.ids tbl) in
+  let rec per_first acc = function
+    | [] -> acc
+    | (i, ti) :: rest ->
+      let acc =
+        List.fold_left
+          (fun acc (j, tj) ->
+            List.fold_left
+              (fun acc fd ->
+                if Fd.holds_on schema ti tj fd then acc else (i, j, fd) :: acc)
+              acc (Fd_set.to_list d))
+          acc rest
+      in
+      per_first acc rest
+  in
+  List.rev (per_first [] rows)
+
+let same_violations v1 v2 =
+  List.equal
+    (fun (i1, j1, fd1) (i2, j2, fd2) -> i1 = i2 && j1 = j2 && Fd.equal fd1 fd2)
+    v1 v2
+
 (* Wrap a qcheck property as an alcotest case. The generation seed is
    fixed so failures reproduce run-to-run; [print] renders the
    counterexample (for instance-by-seed generators, the seed itself). *)

@@ -13,7 +13,8 @@ let test_dirtiness_exact_on_tractable () =
   Alcotest.(check bool) "updates exact" true e.Dirtiness.updates_exact;
   check_float "deletions = 2" 2.0 e.Dirtiness.deletions_upper;
   check_float "updates = 2" 2.0 e.Dirtiness.updates_upper;
-  Alcotest.(check int) "conflicts" 3 e.Dirtiness.conflicts;
+  (* Pair {1,2} violates both FDs but is one conflicting pair. *)
+  Alcotest.(check int) "conflicts" 2 e.Dirtiness.conflicts;
   check_float "fraction dirty = 2/6" (2.0 /. 6.0)
     (Dirtiness.fraction_dirty e D.office_table)
 
@@ -39,6 +40,18 @@ let test_dirtiness_clean_table () =
   Alcotest.(check int) "no conflicts" 0 e.Dirtiness.conflicts;
   check_float "no deletions" 0.0 e.Dirtiness.deletions_upper;
   check_float "fraction zero" 0.0 (Dirtiness.fraction_dirty e D.office_s1)
+
+let prop_conflicts_are_graph_edges =
+  qcheck ~count:100 "conflicts = conflict-graph edge count"
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 1 3) (gen_any_fd small_schema))
+        (gen_table ~dom:2 small_schema))
+    (fun (fds, t) ->
+      let d = Fd_set.of_list fds in
+      let module Cg = Repair_srepair.Conflict_graph in
+      (Dirtiness.estimate d t).Dirtiness.conflicts
+      = Cg.n_conflicts (Cg.build d t))
 
 (* ---------- session ---------- *)
 
@@ -159,7 +172,8 @@ let () =
     [ ( "dirtiness",
         [ Alcotest.test_case "exact on tractable" `Quick test_dirtiness_exact_on_tractable;
           Alcotest.test_case "bounds on hard" `Quick test_dirtiness_bounds_on_hard;
-          Alcotest.test_case "clean table" `Quick test_dirtiness_clean_table ] );
+          Alcotest.test_case "clean table" `Quick test_dirtiness_clean_table;
+          prop_conflicts_are_graph_edges ] );
       ( "session",
         [ Alcotest.test_case "lifecycle" `Quick test_session_lifecycle;
           Alcotest.test_case "update path (U2)" `Quick test_session_update_path;

@@ -157,6 +157,41 @@ let test_violations () =
   Alcotest.(check bool) "pair (1,2) twice" true
     (List.length (List.filter (fun (i, j, _) -> i = 1 && j = 2) v) = 2)
 
+let test_violations_small_tables () =
+  (* Fewer than two rows cannot hold a violating pair; the schema is not
+     consulted, so even an FD over unknown attributes yields []. *)
+  let d = Fd_set.parse "X -> Y" in
+  let one =
+    Table.of_tuples small_schema
+      [ Tuple.make [ Value.int 1; Value.int 2; Value.int 3 ] ]
+  in
+  Alcotest.(check int) "one row" 0 (List.length (Fd_set.violations d one));
+  Alcotest.(check int) "empty" 0
+    (List.length (Fd_set.violations d (Table.empty small_schema)))
+
+let wide_schema = Schema.make "R" [ "A"; "B"; "C"; "D" ]
+
+(* Small domains make duplicate tuples and shared lhs values common;
+   [mask] optionally turns the table into a view with id gaps. *)
+let gen_violations_case =
+  QCheck2.Gen.(
+    let* fds = list_size (int_range 1 4) (gen_any_fd wide_schema) in
+    let* t = gen_table ~dom:2 ~max_size:9 wide_schema in
+    let* mask = int_range 0 1023 in
+    let t =
+      if mask land 1 = 0 then t
+      else Table.select t (fun i _ -> mask land (1 lsl i) <> 0)
+    in
+    return (Fd_set.of_list fds, t))
+
+let print_case (d, t) = Fmt.str "%a@.%a" Fd_set.pp d Table.pp t
+
+let prop_violations_match_all_pairs =
+  qcheck ~count:1000 ~print:print_case
+    "grouped violations = all-pairs scan, order included" gen_violations_case
+    (fun (d, t) ->
+      same_violations (Fd_set.violations d t) (violations_all_pairs d t))
+
 (* ---------- Cover ---------- *)
 
 let test_minimal_cover () =
@@ -342,7 +377,10 @@ let () =
           Alcotest.test_case "normalize" `Quick test_normalize ] );
       ( "satisfaction",
         [ Alcotest.test_case "office" `Quick test_satisfaction;
-          Alcotest.test_case "violations" `Quick test_violations ] );
+          Alcotest.test_case "violations" `Quick test_violations;
+          Alcotest.test_case "violations on 0-1 rows" `Quick
+            test_violations_small_tables;
+          prop_violations_match_all_pairs ] );
       ( "cover",
         [ Alcotest.test_case "minimal" `Quick test_minimal_cover;
           Alcotest.test_case "extraneous lhs" `Quick test_extraneous_lhs;

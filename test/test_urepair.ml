@@ -302,6 +302,120 @@ let prop_heuristic_always_consistent =
       let u = U_heuristic.local_repair d t in
       Fd_set.satisfied_by d u && Table.is_update_of u t)
 
+(* The voting heuristic with one [Table.set_tuple] per changed tuple and
+   the all-pairs violation scan: the oracle the batched
+   [U_heuristic.local_repair] must reproduce table for table. *)
+module Per_tuple_heuristic = struct
+  let vote_sweep d tbl =
+    let schema = Table.schema tbl in
+    List.fold_left
+      (fun tbl fd ->
+        let groups = Table.group_by tbl (Fd.lhs fd) in
+        List.fold_left
+          (fun tbl (_, sub) ->
+            let totals = Hashtbl.create 8 in
+            Table.iter
+              (fun _ t w ->
+                let key = Tuple.project schema t (Fd.rhs fd) in
+                let prev = Option.value (Hashtbl.find_opt totals key) ~default:0.0 in
+                Hashtbl.replace totals key (prev +. w))
+              sub;
+            let majority =
+              Hashtbl.fold
+                (fun key w best ->
+                  match best with
+                  | Some (_, bw) when bw >= w -> best
+                  | _ -> Some (key, w))
+                totals None
+            in
+            match majority with
+            | None -> tbl
+            | Some (rhs_values, _) ->
+              let rhs_attrs =
+                Schema.indices_of schema (Fd.rhs fd)
+                |> List.map (Schema.attribute_at schema)
+              in
+              List.fold_left
+                (fun tbl i ->
+                  let t = Table.tuple tbl i in
+                  let t' =
+                    List.fold_left2
+                      (fun acc a v -> Tuple.set_attr schema acc a v)
+                      t rhs_attrs (Tuple.values rhs_values)
+                  in
+                  if Tuple.equal t t' then tbl else Table.set_tuple tbl i t')
+                tbl (Table.ids sub))
+          tbl groups)
+      tbl (Fd_set.to_list d)
+
+  let isolate_violators d tbl =
+    let violators =
+      violations_all_pairs d tbl
+      |> List.concat_map (fun (i, j, _) -> [ i; j ])
+      |> List.sort_uniq compare
+    in
+    if violators = [] then tbl
+    else begin
+      let schema = Table.schema tbl in
+      let cover = Lhs_analysis.lhs_cover d in
+      let supply = Value.Supply.starting_above (Table.all_values tbl) in
+      List.fold_left
+        (fun tbl i ->
+          let fresh = Value.Supply.next supply in
+          let t =
+            Attr_set.fold
+              (fun a acc -> Tuple.set_attr schema acc a fresh)
+              cover (Table.tuple tbl i)
+          in
+          Table.set_tuple tbl i t)
+        tbl violators
+    end
+
+  let local_repair ?(max_rounds = 4) d tbl =
+    let d = Fd_set.normalize d in
+    if Fd_set.is_empty d then tbl
+    else begin
+      let rec rounds n tbl =
+        if n = 0 || Fd_set.satisfied_by d tbl then tbl
+        else rounds (n - 1) (vote_sweep d tbl)
+      in
+      isolate_violators d (rounds max_rounds tbl)
+    end
+end
+
+let wide_schema = Schema.make "R" [ "A"; "B"; "C"; "D" ]
+
+(* Weighted tables over a domain of two values, so votes tie often: a
+   random consensus-free Δ (multi-attribute and trivial FDs included) on
+   a small table, or the hard {A → B, B → C} on a generated dirty one. *)
+let gen_heuristic_case =
+  QCheck2.Gen.(
+    oneof
+      [ pair
+          (list_size (int_range 1 3) (gen_any_fd ~consensus:false wide_schema)
+          |> map Fd_set.of_list)
+          (gen_table ~dom:2 ~max_size:12 ~weighted:true wide_schema);
+        map
+          (fun seed ->
+            let rng = Rng.make seed in
+            let d = D.delta_a_to_b_to_c in
+            ( d,
+              Gen_table.dirty rng D.r3_schema d
+                { Gen_table.default with n = 40; noise = 0.3; domain_size = 2;
+                  weighted = true } ))
+          (int_range 0 100_000) ])
+
+let prop_heuristic_matches_per_tuple max_rounds =
+  qcheck ~count:300
+    ~print:(fun (d, t) -> Fmt.str "%a@.%a" Fd_set.pp d Table.pp t)
+    (Printf.sprintf "batched heuristic = per-tuple oracle, max_rounds %d"
+       max_rounds)
+    gen_heuristic_case
+    (fun (d, t) ->
+      Table.equal
+        (U_heuristic.local_repair ~max_rounds d t)
+        (Per_tuple_heuristic.local_repair ~max_rounds d t))
+
 let test_heuristic_votes_majority () =
   (* Two tuples say B=1, one says B=2: voting fixes the minority cell. *)
   let s = Schema.make "R" [ "A"; "B" ] in
@@ -380,6 +494,9 @@ let () =
         [ prop_u_approx_certified;
           prop_u_approx_exact_when_tractable;
           prop_heuristic_always_consistent;
+          prop_heuristic_matches_per_tuple 0;
+          prop_heuristic_matches_per_tuple 1;
+          prop_heuristic_matches_per_tuple 4;
           Alcotest.test_case "voting heuristic" `Quick test_heuristic_votes_majority;
           Alcotest.test_case "combined beats certified" `Quick test_heuristic_helps_combined;
           Alcotest.test_case "ratio families (§4.4)" `Quick test_ratio_families ] ) ]
