@@ -406,6 +406,60 @@ let limited_budget_takes_sequential_path =
       in
       reports_equal (run None) (run (Some (pool_of 4))))
 
+(* The 3-attribute instances above never split into two
+   attribute-disjoint components, so Opt_u_repair's component fan-out
+   needs its own instances: 5-attribute Δs with two tractable
+   components (common lhs on both sides, or a two-way unary pair next
+   to a common-lhs component). *)
+let two_component_fds =
+  [ "A -> B; C -> D"; "A -> B; C -> D E"; "A -> B; B -> A; C -> D" ]
+
+let gen_two_component =
+  QCheck2.Gen.(pair (int_range 0 (List.length two_component_fds - 1)) gen_instance)
+
+let print_two_component (k, inst) =
+  Printf.sprintf "%s on %s" (List.nth two_component_fds k) (print_instance inst)
+
+let build_two_component (k, { seed; n; noise }) =
+  let schema = Schema.make "Two" [ "A"; "B"; "C"; "D"; "E" ] in
+  let d = Fd_set.parse (List.nth two_component_fds k) in
+  let rng = W.Rng.make seed in
+  let tbl =
+    W.Gen_table.dirty rng schema d
+      { W.Gen_table.default with n; noise; domain_size = 3; weighted = true }
+  in
+  (d, tbl)
+
+let u_repair_components_match width =
+  Helpers.qcheck ~count:40 ~print:print_two_component
+    (Printf.sprintf "u-repair components at %d domains are bit-identical"
+       width)
+    gen_two_component
+    (fun inst ->
+      let d, tbl = build_two_component inst in
+      let seq, seq_ints =
+        with_fresh_metrics (fun () -> Driver.u_repair_result d tbl)
+      in
+      let par, par_ints =
+        with_fresh_metrics (fun () ->
+            Driver.u_repair_result ~pool:(pool_of width) d tbl)
+      in
+      reports_equal seq par && seq_ints = par_ints)
+
+let u_repair_components_limited_budget =
+  Helpers.qcheck ~count:40 ~print:print_two_component
+    "limited budgets: u-repair components = sequential" gen_two_component
+    (fun ((_, inst) as two) ->
+      let d, tbl = build_two_component two in
+      let st = Random.State.make [| inst.seed; 17 |] in
+      let max_steps = 1 + Random.State.int st 30 in
+      let run pool =
+        Driver.u_repair_result ?pool
+          ~budget:(Budget.create ~max_steps ())
+          ~on_budget:`Fail d tbl
+      in
+      reports_equal (run None) (run (Some (pool_of 4))))
+
 (* ---------- determinism stress -------------------------------------- *)
 
 (* A mid-size tractable instance (common lhs A → B, C) with enough
@@ -652,7 +706,9 @@ let () =
         @ List.map conflict_graph_par_matches widths
         @ List.map s_repair_par_matches widths
         @ List.map u_repair_par_matches widths
-        @ [ limited_budget_takes_sequential_path ] );
+        @ [ limited_budget_takes_sequential_path ]
+        @ List.map u_repair_components_match widths
+        @ [ u_repair_components_limited_budget ] );
       ( "determinism",
         [ unit "50 perturbed runs, byte-identical reports"
             test_determinism_stress;

@@ -144,6 +144,33 @@ let test_conflict_graph () =
   check_float "weight carried" 2.0 (Repair_graph.Graph.weight g v1);
   Alcotest.(check int) "roundtrip id" 1 (Conflict_graph.id_of_vertex cg v1)
 
+(* [build] groups on lhs projections; [build_naive] tests every pair
+   against every FD. Both must yield the same vertices (ids and weights)
+   and the same edge set, on any Δ — consensus FDs and multi-attribute
+   rhs included — and on weighted tables with duplicate tuples. *)
+let prop_conflict_graph_matches_naive =
+  let schema = Schema.make "R" [ "A"; "B"; "C"; "D" ] in
+  qcheck ~count:200 "build = all-pairs build_naive"
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 1 4) (gen_any_fd schema) |> map Fd_set.of_list)
+        (gen_table ~dom:2 ~max_size:12 ~weighted:true schema))
+    (fun (d, t) ->
+      let cg = Conflict_graph.build d t and naive = Conflict_graph.build_naive d t in
+      let g = Conflict_graph.graph cg and gn = Conflict_graph.graph naive in
+      let vertices cg g =
+        List.init (Repair_graph.Graph.n_vertices g) (fun v ->
+            (Conflict_graph.id_of_vertex cg v, Repair_graph.Graph.weight g v))
+      in
+      let edges g =
+        Repair_graph.Graph.edges g
+        |> List.map (fun (u, v) -> (min u v, max u v))
+        |> List.sort compare
+      in
+      vertices cg g = vertices naive gn
+      && edges g = edges gn
+      && Conflict_graph.n_conflicts cg = Conflict_graph.n_conflicts naive)
+
 (* ---------- checking utilities ---------- *)
 
 let test_make_maximal () =
@@ -241,7 +268,8 @@ let () =
           Alcotest.test_case "fails on empty tables too" `Quick
             test_fails_on_empty_table_hard_delta ] );
       ( "conflict graph",
-        [ Alcotest.test_case "office conflicts" `Quick test_conflict_graph ] );
+        [ Alcotest.test_case "office conflicts" `Quick test_conflict_graph;
+          prop_conflict_graph_matches_naive ] );
       ( "checking",
         [ Alcotest.test_case "make_maximal" `Quick test_make_maximal;
           Alcotest.test_case "subset rejection" `Quick test_is_consistent_subset_rejects ] );
