@@ -60,15 +60,26 @@ dune exec bin/repair_cli.exe -- profile --check "$tdir/out.json"
 
 # CLI determinism across --domains: the same repair at 1 and 4 domains
 # must write byte-identical repaired tables and reports (DESIGN §13).
-# The 3-row table takes the exact rungs; the generated 2,500-row one is
-# past them, so S_approx.approx2_par and U_approx.best are compared too.
+# The 3-row table takes the exact rungs. The generated 2,500-row tables
+# are past them: big.csv (A -> B; B -> C) compares S_approx.approx2 on
+# the sharded conflict graph and U_approx.best, office.csv fans the
+# top-level common-lhs blocks of OptSRepair out, and two.csv
+# (A -> B; C -> D) fans the U-repair components out.
+office_fds="facility -> city; facility room -> floor"
 dune exec bin/repair_cli.exe -- generate -f "A -> B; B -> C" -a "A B C D" \
   --size 2500 --domain 1000 --noise 0.05 --seed 101 -o "$tdir/big.csv"
-for input in t.csv big.csv; do
+dune exec bin/repair_cli.exe -- generate -f "$office_fds" \
+  -a "facility room city floor" \
+  --size 2500 --domain 100 --noise 0.05 --seed 102 -o "$tdir/office.csv"
+dune exec bin/repair_cli.exe -- generate -f "A -> B; C -> D" -a "A B C D" \
+  --size 2500 --domain 100 --noise 0.05 --seed 103 -o "$tdir/two.csv"
+for case in "t.csv|A -> B; B -> C" "big.csv|A -> B; B -> C" \
+  "office.csv|$office_fds" "two.csv|A -> B; C -> D"; do
+  input=${case%%|*} fds=${case#*|}
   for sub in s-repair u-repair; do
-    dune exec bin/repair_cli.exe -- "$sub" -f "A -> B; B -> C" \
+    dune exec bin/repair_cli.exe -- "$sub" -f "$fds" \
       --domains 1 "$tdir/$input" -o "$tdir/d1.csv" > "$tdir/d1.out"
-    dune exec bin/repair_cli.exe -- "$sub" -f "A -> B; B -> C" \
+    dune exec bin/repair_cli.exe -- "$sub" -f "$fds" \
       --domains 4 "$tdir/$input" -o "$tdir/d4.csv" > "$tdir/d4.out"
     cmp "$tdir/d1.csv" "$tdir/d4.csv"
     cmp "$tdir/d1.out" "$tdir/d4.out"
@@ -233,11 +244,11 @@ dune exec bench/compare.exe -- "$out" "$out"
 # Regression gate against the committed baseline: the smoke subset is
 # compared record-by-record; --subset lets the baseline carry the full
 # suite without the smoke run's missing records counting as vanished.
-# The allowance is calibrated for shared CI hosts, where even the frozen
-# seed-replica records (code no PR touches) swing 1.5-2x between runs:
-# this gate exists to catch accidental asymptotic blowups (those show up
-# as 10x+), while precise tracking belongs to full-suite runs on a quiet
-# machine with the default 25% threshold.
+# The allowance is calibrated for shared CI hosts, where ms-scale
+# records of unchanged code swing 1.5-2x between runs: this gate exists
+# to catch accidental asymptotic blowups (those show up as 10x+), while
+# precise tracking belongs to full-suite runs on a quiet machine with
+# the default 25% threshold.
 dune exec bench/compare.exe -- BENCH_1.json "$out" --subset \
   --threshold 150 --min-ms 2
 

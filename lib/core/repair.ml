@@ -95,12 +95,7 @@ module Driver = struct
     let degraded = ref false and fallbacks = ref [] in
     let runner = Option.map Pool.runner pool in
     let poly () =
-      let solved =
-        match runner with
-        | Some runner -> Repair_srepair.Opt_s_repair.run_par ~budget runner d tbl
-        | None -> Repair_srepair.Opt_s_repair.run ~budget d tbl
-      in
-      match solved with
+      match Repair_srepair.Opt_s_repair.run ~budget ?runner d tbl with
       | Ok s -> s_report tbl s ~optimal:true ~ratio:1.0 ~method_used:s_poly_name
       | Error stuck ->
         Repair_error.raise_error
@@ -117,11 +112,7 @@ module Driver = struct
         ~optimal:true ~ratio:1.0 ~method_used:s_exact_name
     in
     let approx () =
-      let s =
-        match runner with
-        | Some runner -> Repair_srepair.S_approx.approx2_par runner d tbl
-        | None -> Repair_srepair.S_approx.approx2 d tbl
-      in
+      let s = Repair_srepair.S_approx.approx2 ?runner d tbl in
       s_report tbl s ~optimal:false ~ratio:2.0 ~method_used:s_approx_name
     in
     let rung name f =
@@ -180,13 +171,7 @@ module Driver = struct
     let degraded = ref false and fallbacks = ref [] in
     let runner = Option.map Pool.runner pool in
     let poly () =
-      let solved =
-        match runner with
-        | Some runner ->
-          Repair_urepair.Opt_u_repair.solve_par ~budget runner d tbl
-        | None -> Repair_urepair.Opt_u_repair.solve ~budget d tbl
-      in
-      match solved with
+      match Repair_urepair.Opt_u_repair.solve ~budget ?runner d tbl with
       | Ok u -> u_report tbl u ~optimal:true ~ratio:1.0 ~method_used:u_poly_name
       | Error f ->
         Repair_error.raise_error

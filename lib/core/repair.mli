@@ -98,10 +98,10 @@ module Driver : sig
       subset repair. The [budget] (default unlimited) is polled
       cooperatively inside the solvers' hot loops; on exhaustion the
       driver degrades or fails per [on_budget]. With [pool], the poly
-      rung runs {!Srepair.Opt_s_repair.run_par} and the approximation
-      rung builds its conflict graph through
-      {!Srepair.S_approx.approx2_par} — the report (distance, method,
-      degraded flag, fallbacks) is bit-identical either way.
+      rung passes the pool's runner to {!Srepair.Opt_s_repair.run} and
+      the approximation rung passes it to {!Srepair.S_approx.approx2} —
+      the report (distance, method, degraded flag, fallbacks) is
+      bit-identical either way.
 
       @raise Failure if [Poly] was requested on the APX-hard side.
       @raise Runtime.Repair_error.Error on budget exhaustion under
@@ -129,8 +129,8 @@ module Driver : sig
   (** [u_repair ?pool ?strategy ?budget ?on_budget d tbl] computes an
       update repair; budget and degradation semantics as in {!s_repair}.
       With [pool], the poly rung solves Theorem 4.1's attribute-disjoint
-      components as pool tasks ({!Urepair.Opt_u_repair.solve_par}) —
-      again bit-identical. *)
+      components as pool tasks (the runner passed to
+      {!Urepair.Opt_u_repair.solve}) — again bit-identical. *)
   val u_repair :
     ?pool:Repair_par.Pool.t ->
     ?strategy:strategy ->

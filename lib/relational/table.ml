@@ -397,7 +397,7 @@ let visible_rows tbl =
 
 let cols_of tbl x = Array.of_list (Schema.indices_of tbl.schema x)
 
-(* ---------- parallel grouping ---------- *)
+(* ---------- runners and chunked grouping ---------- *)
 
 type runner = {
   run : 'a. (unit -> 'a) array -> 'a array;
@@ -406,6 +406,29 @@ type runner = {
 }
 
 let seq_runner = { run = (fun tasks -> Array.map (fun f -> f ()) tasks); width = 1 }
+
+(* The one place that decides whether budgeted work fans out. Step
+   budgets are sequential accumulators: a limited budget's exhaustion
+   point is observable, so it keeps the inline fold, as do a width-1
+   runner and a single item. Wide, each task runs under a fresh
+   unlimited budget, and the spent steps are absorbed into [budget] at
+   the barrier, in list order, so the total equals the inline run's. *)
+let fold_budgeted runner budget f combine init xs =
+  let module Budget = Repair_runtime.Budget in
+  match xs with
+  | _ :: _ :: _ when runner.width > 1 && not (Budget.limited budget) ->
+    let task x () =
+      let b = Budget.unlimited () in
+      let r = f b x in
+      (r, Budget.steps b)
+    in
+    Array.fold_left
+      (fun acc (r, steps) ->
+        Budget.absorb budget ~steps;
+        combine acc r)
+      init
+      (runner.run (Array.of_list (List.map task xs)))
+  | _ -> List.fold_left (fun acc x -> combine acc (f budget x)) init xs
 
 (* Deterministic chunk layout: [chunks] near-equal contiguous slices of
    [0 .. n-1], the remainder spread over the leading chunks.
@@ -433,93 +456,45 @@ let chunk_layout ?chunk_sizes ~chunks n =
         let lo = (c * base) + min c rem in
         (lo, len))
 
-(* Parallel [partition]: per-chunk local partitions merged in chunk
-   order. The merge reconstitutes the sequential result exactly and
-   independently of the chunk layout — scanning chunks in index order
-   (and, within a chunk, local groups in first-seen order) visits keys
-   in global first-seen order, and appending member slices chunk by
+(* [partition] over contiguous row chunks, one runner task per chunk,
+   merged in chunk order. The merge reconstitutes the one-chunk result
+   exactly and independently of the layout: scanning chunks in index
+   order (and, within a chunk, local groups in first-seen order) visits
+   keys in global first-seen order, and appending member slices chunk by
    chunk preserves global input order. Workers only read code arrays;
-   all mutation is chunk-local or happens here after the barrier. *)
-let partition_par runner ?chunk_sizes ?chunks (st : store) cols rows =
-  let chunks = match chunks with Some c -> c | None -> runner.width in
-  let k = Array.length cols in
+   the merge runs after the barrier. *)
+let partition_chunked ?(runner = seq_runner) ?chunk_sizes (st : store) cols
+    rows =
   let n = Array.length rows in
-  let layout = chunk_layout ?chunk_sizes ~chunks n in
-  if n = 0 || k = 0 || Array.length layout <= 1 then partition st cols rows
+  let layout = chunk_layout ?chunk_sizes ~chunks:runner.width n in
+  if Array.length layout <= 1 then partition st cols rows
   else begin
-    let code_cols = Array.map (fun c -> st.codes.(c)) cols in
     let local (lo, len) () =
-      let gid = Array.make len 0 in
-      let n_groups = ref 0 in
-      let keys_rev = ref [] in
-      let index = Ktbl.create (2 * len) in
-      for j = 0 to len - 1 do
-        let r = rows.(lo + j) in
-        let key = Array.map (fun col -> col.(r)) code_cols in
-        match Ktbl.find_opt index key with
-        | Some g -> gid.(j) <- g
-        | None ->
-          let g = !n_groups in
-          incr n_groups;
-          Ktbl.add index key g;
-          keys_rev := key :: !keys_rev;
-          gid.(j) <- g
-      done;
-      let keys = Array.of_list (List.rev !keys_rev) in
-      let counts = Array.make !n_groups 0 in
-      Array.iter (fun g -> counts.(g) <- counts.(g) + 1) gid;
-      let out = Array.map (fun c -> Array.make c 0) counts in
-      let fill = Array.make !n_groups 0 in
-      for j = 0 to len - 1 do
-        let g = gid.(j) in
-        out.(g).(fill.(g)) <- lo + j;
-        fill.(g) <- fill.(g) + 1
-      done;
-      Array.map2 (fun key members -> (key, members)) keys out
+      partition st cols (Array.sub rows lo len)
+      |> List.map (Array.map (fun j -> lo + j))
     in
-    let locals = runner.run (Array.map local layout) in
+    let key members =
+      Array.map (fun c -> st.codes.(c).(rows.(members.(0)))) cols
+    in
     let index = Ktbl.create (2 * n) in
-    let n_groups = ref 0 in
-    let parts = ref (Array.make 16 []) in
+    let parts = ref [] in
     Array.iter
-      (fun lgroups ->
-        Array.iter
-          (fun (key, members) ->
-            let g =
-              match Ktbl.find_opt index key with
-              | Some g -> g
-              | None ->
-                let g = !n_groups in
-                incr n_groups;
-                Ktbl.add index key g;
-                if g = Array.length !parts then begin
-                  let grown = Array.make (2 * g) [] in
-                  Array.blit !parts 0 grown 0 g;
-                  parts := grown
-                end;
-                g
-            in
-            !parts.(g) <- members :: !parts.(g))
-          lgroups)
-      locals;
-    List.init !n_groups (fun g -> Array.concat (List.rev !parts.(g)))
+      (List.iter (fun members ->
+           let k = key members in
+           match Ktbl.find_opt index k with
+           | Some slices -> slices := members :: !slices
+           | None ->
+             let slices = ref [ members ] in
+             Ktbl.add index k slices;
+             parts := slices :: !parts))
+      (runner.run (Array.map local layout));
+    List.rev_map (fun slices -> Array.concat (List.rev !slices)) !parts
   end
 
-let group_by tbl x =
+let group_by ?runner ?chunk_sizes tbl x =
   let cols = cols_of tbl x in
   let rows = visible_rows tbl in
-  partition tbl.store cols rows
-  |> List.map (fun idxs ->
-         let members = Array.map (fun j -> rows.(j)) idxs in
-         let witness = tbl.store.tuples.(members.(0)) in
-         let key = Tuple.project tbl.schema witness x in
-         (key, { tbl with view = Rows members }))
-  |> List.sort (fun (k1, _) (k2, _) -> Tuple.compare k1 k2)
-
-let group_by_par runner ?chunk_sizes ?chunks tbl x =
-  let cols = cols_of tbl x in
-  let rows = visible_rows tbl in
-  partition_par runner ?chunk_sizes ?chunks tbl.store cols rows
+  partition_chunked ?runner ?chunk_sizes tbl.store cols rows
   |> List.map (fun idxs ->
          let members = Array.map (fun j -> rows.(j)) idxs in
          let witness = tbl.store.tuples.(members.(0)) in
@@ -901,16 +876,10 @@ module View = struct
       invalid_arg "Table.View.of_positions: position out of range";
     { tbl with view = Rows (Array.map (row_at tbl) positions) }
 
-  let group_within tbl positions x =
+  let group_within ?runner tbl positions x =
     let cols = cols_of tbl x in
     let rows = Array.map (row_at tbl) positions in
-    partition tbl.store cols rows
-    |> List.map (fun idxs -> Array.map (fun j -> positions.(j)) idxs)
-
-  let group_within_par runner ?chunk_sizes ?chunks tbl positions x =
-    let cols = cols_of tbl x in
-    let rows = Array.map (row_at tbl) positions in
-    partition_par runner ?chunk_sizes ?chunks tbl.store cols rows
+    partition_chunked ?runner tbl.store cols rows
     |> List.map (fun idxs -> Array.map (fun j -> positions.(j)) idxs)
 
   let groups tbl x =

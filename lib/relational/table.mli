@@ -101,6 +101,46 @@ val is_duplicate_free : t -> bool
 (** All weights are equal. *)
 val is_unweighted : t -> bool
 
+(** {1 Runners}
+
+    Parallel work goes through a {!runner} — an executor for an array
+    of independent thunks, returning their results in index order — so
+    the algorithms can fan work out to a {!Repair_par.Pool} without this
+    library depending on it. Every entry point that can fan out takes
+    [?runner], defaulting to {!seq_runner}; at width 1 it runs exactly
+    the sequential code. Wider runners give bit-identical results. *)
+
+(** An executor for independent tasks; [run tasks] returns the results
+    in task-index order and re-raises task exceptions deterministically
+    (first failing index) — see {!Repair_par.Pool.runner}. [width] is
+    the executor's natural fan-out (a pool's domain count), used as the
+    chunk and shard count. *)
+type runner = {
+  run : 'a. (unit -> 'a) array -> 'a array;
+  width : int;
+}
+
+(** Runs tasks inline, in index order; width 1. *)
+val seq_runner : runner
+
+(** [fold_budgeted runner budget f combine init xs] folds [combine]
+    over [f b x] for each [x] of [xs], in list order. Inline — a width-1
+    runner, a limited [budget], or fewer than two items — it is
+    [List.fold_left (fun acc x -> combine acc (f budget x)) init xs].
+    Otherwise each [f] runs as a [runner] task under a fresh unlimited
+    budget; after the barrier, the tasks' steps are absorbed into
+    [budget] and their results combined, in list order, so results and
+    step totals equal the inline fold's. Limited budgets stay inline
+    because their exhaustion point is observable. *)
+val fold_budgeted :
+  runner ->
+  Repair_runtime.Budget.t ->
+  (Repair_runtime.Budget.t -> 'a -> 'b) ->
+  ('acc -> 'b -> 'acc) ->
+  'acc ->
+  'a list ->
+  'acc
+
 (** {1 Relational operations} *)
 
 (** [select tbl p] keeps the rows satisfying [p]. *)
@@ -114,43 +154,19 @@ val select_eq : t -> Attr_set.t -> Tuple.t -> t
     tuples on [x]. *)
 val project_distinct : t -> Attr_set.t -> Tuple.t list
 
-(** [group_by tbl x] partitions the table by the projection on [x],
-    returning each distinct key with its subtable. The subtables keep the
-    original identifiers and weights, so they are subsets of [tbl]. *)
-val group_by : t -> Attr_set.t -> (Tuple.t * t) list
+(** [group_by ?runner ?chunk_sizes tbl x] partitions the table by the
+    projection on [x], returning each distinct key with its subtable.
+    The subtables keep the original identifiers and weights, so they
+    are subsets of [tbl].
 
-(** {2 Parallel grouping}
-
-    The grouping passes accept a {!runner} — an executor for an array of
-    independent thunks, returning their results in index order — so they
-    can fan per-chunk work out to a {!Repair_par.Pool} without this
-    library depending on it ({!seq_runner} runs the thunks inline). The
-    parallel variants are {e exactly} equivalent to their sequential
-    counterparts for every chunk layout: rows are split into contiguous
-    chunks, partitioned per chunk by interned code keys, and the chunk
-    results merged in chunk order, which provably reconstitutes the
-    sequential first-seen group order and input member order. *)
-
-(** An executor for independent tasks; [run tasks] returns the results
-    in task-index order and re-raises task exceptions deterministically
-    (first failing index) — see {!Repair_par.Pool.runner}. [width] is
-    the executor's natural fan-out (a pool's domain count), used as the
-    default chunk count. *)
-type runner = {
-  run : 'a. (unit -> 'a) array -> 'a array;
-  width : int;
-}
-
-(** Runs tasks inline, in index order. *)
-val seq_runner : runner
-
-(** [group_by_par runner tbl x] — {!group_by}, with the hash partition
-    fanned out over [chunks] (default [runner.width]) row chunks.
+    The hash partition splits the rows into [runner.width] contiguous
+    chunks, partitions each chunk as a runner task, and merges the
+    chunks in order, which reconstitutes the one-chunk result exactly.
     [chunk_sizes] overrides the (deterministic, near-equal) chunk
     layout; sizes must sum to the visible row count.
     @raise Invalid_argument on a malformed [chunk_sizes]. *)
-val group_by_par :
-  runner -> ?chunk_sizes:int array -> ?chunks:int -> t -> Attr_set.t ->
+val group_by :
+  ?runner:runner -> ?chunk_sizes:int array -> t -> Attr_set.t ->
   (Tuple.t * t) list
 
 (** [restrict tbl ids] is the subset of [tbl] with the given identifiers
@@ -242,18 +258,13 @@ module View : sig
       position is out of range. *)
   val of_positions : t -> int array -> t
 
-  (** [group_within tbl ps x] partitions the rows at positions [ps] by
-      their projection on [x], returning position arrays: groups in
-      first-seen order, members in input order. A single hash pass over
-      the interned code columns — no keys or subtables are built. *)
-  val group_within : t -> int array -> Attr_set.t -> int array list
-
-  (** [group_within_par runner tbl ps x] — {!group_within} with the
-      partition fanned out over row chunks; bit-identical output for
-      every chunk layout (see {!Table.group_by_par}). *)
-  val group_within_par :
-    runner -> ?chunk_sizes:int array -> ?chunks:int -> t -> int array ->
-    Attr_set.t -> int array list
+  (** [group_within ?runner tbl ps x] partitions the rows at positions
+      [ps] by their projection on [x], returning position arrays: groups
+      in first-seen order, members in input order. A single hash pass
+      over the interned code columns — no keys or subtables are built —
+      chunked over [runner] as in {!Table.group_by}. *)
+  val group_within :
+    ?runner:runner -> t -> int array -> Attr_set.t -> int array list
 
   (** [groups tbl x] is {!Table.group_by} without the subtables: each
       distinct key (sorted) paired with the visible positions of its

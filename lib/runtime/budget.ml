@@ -56,11 +56,8 @@ let tick_name phase =
 
 let tick ?(phase = "unphased") b =
   b.steps <- b.steps + 1;
-  if Repair_obs.Metrics.enabled () || Repair_obs.Trace.enabled () then begin
-    let name = tick_name phase in
-    Repair_obs.Metrics.incr name;
-    Repair_obs.Trace.instant name
-  end;
+  if Repair_obs.Metrics.enabled () then
+    Repair_obs.Metrics.incr (tick_name phase);
   if Fault.armed () then
     Fault.on_checkpoint ~phase ~elapsed:(elapsed b) ~steps:b.steps;
   if b.limited then begin

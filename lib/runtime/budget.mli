@@ -39,11 +39,11 @@ val unlimited : unit -> t
     {!Repair_error.Error}[ (Budget_exhausted _)] if [b] is spent, naming
     [phase] (default ["unphased"]); may raise an armed {!Fault} first.
     When {!Repair_obs.Metrics} is enabled, the same call site also bumps
-    the ["ticks.<phase>"] counter, and when {!Repair_obs.Trace} is
-    enabled it emits a ["ticks.<phase>"] instant event — budget checks,
-    metric increments, and trace marks share one checkpoint. The counter
-    name is interned per phase, so ticking allocates nothing after the
-    first checkpoint of a phase (and nothing at all while both are
+    the ["ticks.<phase>"] counter — budget checks and metric increments
+    share one checkpoint. Ticks emit no trace events: one per checkpoint
+    would crowd the spans out of the trace ring. The counter name is
+    interned per phase, so ticking allocates nothing after the first
+    checkpoint of a phase (and nothing at all while metrics are
     disabled). *)
 val tick : ?phase:string -> t -> unit
 

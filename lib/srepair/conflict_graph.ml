@@ -16,7 +16,7 @@ let record_built cg =
   Repair_obs.Trace.instant "conflict-graph.built";
   cg
 
-let build d tbl =
+let build ?(runner = Table.seq_runner) d tbl =
   Metrics.with_span "conflict-graph.build" @@ fun () ->
   let ids = Table.View.ids_array tbl in
   let n = Array.length ids in
@@ -27,78 +27,45 @@ let build d tbl =
   (* For each FD X → Y: group tuples by their X-projection; within a group,
      split by the Y-projection; any two tuples in different Y-subgroups of
      the same X-group conflict. Grouping works on visible row positions,
-     which ARE the dense vertex ids, so the cross-product loop adds edges
+     which ARE the dense vertex ids, so the cross-product loop emits edges
      straight from the position arrays — no id→vertex lookups. *)
   let all = Array.init n (fun v -> v) in
   let add_fd fd =
-    let groups = Table.View.group_within tbl all (Fd.lhs fd) in
-    List.iter
-      (fun group ->
-        let subgroups = Table.View.group_within tbl group (Fd.rhs fd) in
-        let rec cross = function
-          | [] -> ()
-          | g1 :: rest ->
-            List.iter
-              (fun g2 ->
-                Array.iter
-                  (fun u -> Array.iter (fun v -> G.add_edge graph u v) g2)
-                  g1)
-              rest;
-            cross rest
-        in
-        cross subgroups)
-      groups
-  in
-  List.iter add_fd (Fd_set.to_list (Fd_set.remove_trivial d));
-  record_built { graph; ids; index }
-
-(* Parallel [build]: grouping fans out over row chunks
-   ([group_within_par] is exactly equivalent to [group_within]), and the
-   per-group subgroup-and-cross work is sharded over contiguous runs of
-   groups. Shard tasks only read the store and emit their edges as
-   lists in generation order; concatenating the shards in order
-   reproduces the sequential [add_edge] call sequence exactly, so the
-   resulting graph (adjacency order included) is bit-identical for any
-   shard count. *)
-let build_par (runner : Table.runner) d tbl =
-  Metrics.with_span "conflict-graph.build" @@ fun () ->
-  let ids = Table.View.ids_array tbl in
-  let n = Array.length ids in
-  let index = Hashtbl.create n in
-  Array.iteri (fun v i -> Hashtbl.add index i v) ids;
-  let weights = Array.init n (fun v -> Table.View.weight tbl v) in
-  let graph = G.create_weighted weights in
-  let all = Array.init n (fun v -> v) in
-  let add_fd fd =
-    let groups =
-      Array.of_list (Table.View.group_within_par runner tbl all (Fd.lhs fd))
+    let cross emit group =
+      let rec go = function
+        | [] -> ()
+        | g1 :: rest ->
+          List.iter
+            (fun g2 ->
+              Array.iter (fun u -> Array.iter (fun v -> emit u v) g2) g1)
+            rest;
+          go rest
+      in
+      go (Table.View.group_within tbl group (Fd.rhs fd))
     in
-    let n_groups = Array.length groups in
+    let groups = Table.View.group_within ~runner tbl all (Fd.lhs fd) in
+    let n_groups = List.length groups in
     let shards = max 1 (min runner.Table.width n_groups) in
-    let base = n_groups / shards and rem = n_groups mod shards in
-    let shard_edges s () =
-      let len = base + if s < rem then 1 else 0 in
-      let lo = (s * base) + min s rem in
-      let acc = ref [] in
-      for g = lo to lo + len - 1 do
-        let subgroups = Table.View.group_within tbl groups.(g) (Fd.rhs fd) in
-        let rec cross = function
-          | [] -> ()
-          | g1 :: rest ->
-            List.iter
-              (fun g2 ->
-                Array.iter
-                  (fun u -> Array.iter (fun v -> acc := (u, v) :: !acc) g2)
-                  g1)
-              rest;
-            cross rest
-        in
-        cross subgroups
-      done;
-      List.rev !acc
-    in
-    runner.Table.run (Array.init shards shard_edges)
-    |> Array.iter (List.iter (fun (u, v) -> G.add_edge graph u v))
+    if shards = 1 then List.iter (cross (G.add_edge graph)) groups
+    else begin
+      (* Shard contiguous runs of lhs-groups over the runner. Shards only
+         read the store and return their edges in generation order;
+         replaying them in shard order reproduces the one-shard
+         [add_edge] sequence exactly. *)
+      let groups = Array.of_list groups in
+      let base = n_groups / shards and rem = n_groups mod shards in
+      let shard_edges s () =
+        let len = base + if s < rem then 1 else 0 in
+        let lo = (s * base) + min s rem in
+        let acc = ref [] in
+        for g = lo to lo + len - 1 do
+          cross (fun u v -> acc := (u, v) :: !acc) groups.(g)
+        done;
+        List.rev !acc
+      in
+      runner.Table.run (Array.init shards shard_edges)
+      |> Array.iter (List.iter (fun (u, v) -> G.add_edge graph u v))
+    end
   in
   List.iter add_fd (Fd_set.to_list (Fd_set.remove_trivial d));
   record_built { graph; ids; index }

@@ -10,20 +10,15 @@ open Repair_fd
 
 type t
 
-(** [build d tbl] constructs the conflict graph. Edges are discovered per
-    FD by grouping on the lhs projection and crossing the rhs-distinct
-    subgroups, so construction is output-sensitive rather than always
-    quadratic. *)
-val build : Fd_set.t -> Table.t -> t
-
-(** [build_par runner d tbl] is {!build} with the grouping pass fanned
-    out over row chunks and the edge-discovery pass sharded over
-    contiguous runs of lhs-groups, both through [runner] (see
-    {!Table.runner}). Shards emit edge lists that are replayed in shard
-    order, reproducing the sequential [add_edge] sequence exactly: the
-    result is bit-identical to {!build} — same graph, same adjacency
-    order, same counters — for every runner width. *)
-val build_par : Table.runner -> Fd_set.t -> Table.t -> t
+(** [build ?runner d tbl] constructs the conflict graph. Edges are
+    discovered per FD by grouping on the lhs projection and crossing the
+    rhs-distinct subgroups, so construction is output-sensitive rather
+    than always quadratic. A [runner] wider than 1 chunks the grouping
+    pass (see {!Table.group_by}) and shards the edge discovery over
+    contiguous runs of lhs-groups; shards return their edges, which are
+    added in shard order, so the graph — adjacency order and counters
+    included — is bit-identical to the one-shard build. *)
+val build : ?runner:Table.runner -> Fd_set.t -> Table.t -> t
 
 (** [build_naive d tbl] constructs the same graph by testing all O(|T|²)
     tuple pairs against every FD — the ablation baseline showing why

@@ -5,10 +5,9 @@ module Metrics = Repair_obs.Metrics
 
 exception Stuck of Fd_set.t
 
-(* The matching tail of subroutine 3, shared by the sequential and
-   parallel drivers: given each (X1∪X2)-block's projections and its
-   solved repair, keep the maximum-weight matching between X1- and
-   X2-values. *)
+(* The matching tail of subroutine 3: given each (X1∪X2)-block's
+   projections and its solved repair, keep the maximum-weight matching
+   between X1- and X2-values. *)
 let marriage_matching schema blocks =
   let module Tmap = Map.Make (struct
     type t = Tuple.t
@@ -41,52 +40,59 @@ let marriage_matching schema blocks =
       | None -> acc)
     (Table.empty schema) matching
 
+(* Each subroutine solves its blocks through [Table.fold_budgeted]: at
+   the top level a wide [runner] solves them as independent tasks, and
+   every block's own recursion runs on [Table.seq_runner] — the
+   recursion fans out once, at the first simplification. *)
+
 (* Subroutine 1: all FDs share lhs attribute a. Partition on a and solve
    independently under Δ − a; blocks never interact because any violation
    within the result would have to agree on a. *)
-let rec common_lhs_rep budget delta a tbl =
+let rec common_lhs_rep runner budget delta a tbl =
   let smaller = Fd_set.minus delta (Attr_set.singleton a) in
-  Table.group_by tbl (Attr_set.singleton a)
-  |> List.fold_left
-       (fun acc (_, sub) -> Table.union acc (solve budget smaller sub))
+  Table.group_by ~runner tbl (Attr_set.singleton a)
+  |> Table.fold_budgeted runner budget
+       (fun b (_, sub) -> solve Table.seq_runner b smaller sub)
+       Table.union
        (Table.empty (Table.schema tbl))
 
 (* Subroutine 2: consensus FD ∅ → X. Every consistent subset lies within a
    single X-block, so solve each block under Δ − X and keep the heaviest
-   optimal block repair. *)
-and consensus_rep budget delta fd tbl =
+   optimal block repair (the first one on ties). *)
+and consensus_rep runner budget delta fd tbl =
   let x = Fd.rhs fd in
   let smaller = Fd_set.minus delta x in
-  let candidates =
-    Table.group_by tbl x
-    |> List.map (fun (_, sub) -> solve budget smaller sub)
+  let heavier best s =
+    match best with
+    | Some b when Table.total_weight s <= Table.total_weight b -> best
+    | _ -> Some s
   in
-  match candidates with
-  | [] -> tbl (* empty table: already consistent *)
-  | first :: rest ->
-    List.fold_left
-      (fun best s ->
-        if Table.total_weight s > Table.total_weight best then s else best)
-      first rest
+  Table.group_by ~runner tbl x
+  |> Table.fold_budgeted runner budget
+       (fun b (_, sub) -> solve Table.seq_runner b smaller sub)
+       heavier None
+  |> Option.value ~default:tbl (* empty table: already consistent *)
 
 (* Subroutine 3: lhs marriage (X1, X2). Within the consistent result, the
    X1-value of a tuple determines its X2-value and vice versa (their
    closures coincide), so the kept (a1, a2) combinations form a matching
    between the X1- and X2-projections; maximize its weight. *)
-and marriage_rep budget delta (x1, x2) tbl =
+and marriage_rep runner budget delta (x1, x2) tbl =
   let x12 = Attr_set.union x1 x2 in
   let smaller = Fd_set.minus delta x12 in
   let schema = Table.schema tbl in
-  let blocks =
-    Table.group_by tbl x12
-    |> List.map (fun (_, sub) ->
-           (* Recover the X1/X2 projections of the block from any member. *)
-           let witness = List.hd (Table.tuples sub) in
-           let a1 = Tuple.project schema witness x1 in
-           let a2 = Tuple.project schema witness x2 in
-           (a1, a2, solve budget smaller sub))
-  in
-  marriage_matching schema blocks
+  Table.group_by ~runner tbl x12
+  |> Table.fold_budgeted runner budget
+       (fun b (_, sub) ->
+         (* Recover the X1/X2 projections of the block from any member. *)
+         let witness = List.hd (Table.tuples sub) in
+         let a1 = Tuple.project schema witness x1 in
+         let a2 = Tuple.project schema witness x2 in
+         (a1, a2, solve Table.seq_runner b smaller sub))
+       (fun blocks block -> block :: blocks)
+       []
+  |> List.rev
+  |> marriage_matching schema
 
 (* Success must depend on Δ only (Theorem 3.4): when a recursion branch
    runs out of tuples, we still simulate the simplification chain so that a
@@ -106,7 +112,7 @@ and check_delta_only delta =
           check_delta_only (Fd_set.minus delta (Attr_set.union x1 x2))
         | None -> raise (Stuck delta)))
 
-and solve budget delta tbl =
+and solve runner budget delta tbl =
   Budget.tick ~phase:"opt-s-repair" budget;
   let delta = Fd_set.remove_trivial delta in
   if Fd_set.is_empty delta then tbl
@@ -118,126 +124,31 @@ and solve budget delta tbl =
     match Fd_set.common_lhs delta with
     | Some a ->
       Metrics.with_span "common-lhs" (fun () ->
-          common_lhs_rep budget delta a tbl)
+          common_lhs_rep runner budget delta a tbl)
     | None -> (
       match Fd_set.consensus_fd delta with
       | Some fd ->
         Metrics.with_span "consensus" (fun () ->
-            consensus_rep budget delta fd tbl)
+            consensus_rep runner budget delta fd tbl)
       | None -> (
         match Fd_set.lhs_marriage delta with
         | Some marriage ->
           Metrics.with_span "marriage" (fun () ->
-              marriage_rep budget delta marriage tbl)
+              marriage_rep runner budget delta marriage tbl)
         | None -> raise (Stuck delta)))
-
-(* ---------- parallel driver ---------- *)
-
-(* The recursion fans out once, at the top level: the blocks of the
-   first simplification are solved as independent runner tasks (each
-   block's own recursion stays sequential inside its task — runners
-   guard nested submission). Fan-out is restricted to unlimited budgets:
-   a limited budget's exhaustion point is part of the observable
-   behaviour, so limited runs take the sequential path unchanged. Each
-   task solves its block under a fresh unlimited budget, and the spent
-   steps are absorbed into the orchestrating budget at the barrier, in
-   block order — tick totals (and the ticks.opt-s-repair counter, which
-   the worker tasks feed through their captured registries) come out
-   exactly equal to the sequential run's. *)
-let solve_blocks (runner : Table.runner) budget smaller subs =
-  match subs with
-  | [] | [ _ ] -> List.map (solve budget smaller) subs
-  | _ ->
-    let tasks =
-      List.map
-        (fun sub () ->
-          let b = Budget.unlimited () in
-          let s = solve b smaller sub in
-          (s, Budget.steps b))
-        subs
-    in
-    let results = runner.Table.run (Array.of_list tasks) in
-    Array.iter (fun (_, steps) -> Budget.absorb budget ~steps) results;
-    Array.to_list (Array.map fst results)
-
-let common_lhs_par runner budget delta a tbl =
-  let smaller = Fd_set.minus delta (Attr_set.singleton a) in
-  let groups = Table.group_by_par runner tbl (Attr_set.singleton a) in
-  solve_blocks runner budget smaller (List.map snd groups)
-  |> List.fold_left Table.union (Table.empty (Table.schema tbl))
-
-let consensus_par runner budget delta fd tbl =
-  let x = Fd.rhs fd in
-  let smaller = Fd_set.minus delta x in
-  let groups = Table.group_by_par runner tbl x in
-  let candidates = solve_blocks runner budget smaller (List.map snd groups) in
-  match candidates with
-  | [] -> tbl
-  | first :: rest ->
-    List.fold_left
-      (fun best s ->
-        if Table.total_weight s > Table.total_weight best then s else best)
-      first rest
-
-let marriage_par runner budget delta (x1, x2) tbl =
-  let x12 = Attr_set.union x1 x2 in
-  let smaller = Fd_set.minus delta x12 in
-  let schema = Table.schema tbl in
-  let groups = Table.group_by_par runner tbl x12 in
-  let projections =
-    List.map
-      (fun (_, sub) ->
-        let witness = List.hd (Table.tuples sub) in
-        (Tuple.project schema witness x1, Tuple.project schema witness x2))
-      groups
-  in
-  let solved = solve_blocks runner budget smaller (List.map snd groups) in
-  let blocks = List.map2 (fun (a1, a2) s -> (a1, a2, s)) projections solved in
-  marriage_matching schema blocks
-
-let solve_par runner budget delta tbl =
-  if Budget.limited budget then solve budget delta tbl
-  else begin
-    Budget.tick ~phase:"opt-s-repair" budget;
-    let delta = Fd_set.remove_trivial delta in
-    if Fd_set.is_empty delta then tbl
-    else if Table.is_empty tbl then begin
-      check_delta_only delta;
-      tbl
-    end
-    else
-      match Fd_set.common_lhs delta with
-      | Some a ->
-        Metrics.with_span "common-lhs" (fun () ->
-            common_lhs_par runner budget delta a tbl)
-      | None -> (
-        match Fd_set.consensus_fd delta with
-        | Some fd ->
-          Metrics.with_span "consensus" (fun () ->
-              consensus_par runner budget delta fd tbl)
-        | None -> (
-          match Fd_set.lhs_marriage delta with
-          | Some marriage ->
-            Metrics.with_span "marriage" (fun () ->
-                marriage_par runner budget delta marriage tbl)
-          | None -> raise (Stuck delta)))
-  end
 
 (* Streaming entry points (DESIGN §16): the per-block solve and the
    marriage tail, exposed so an incremental maintainer can re-run exactly
    the computation a batch [run] performs on one block and combine cached
    block repairs the way the batch top level would. *)
-let solve_block ?(budget = Budget.unlimited ()) d tbl = solve budget d tbl
+let solve_block ?(budget = Budget.unlimited ()) d tbl =
+  solve Table.seq_runner budget d tbl
+
 let marriage_combine = marriage_matching
 
-let run ?(budget = Budget.unlimited ()) d tbl =
-  match Metrics.with_span "opt-s-repair" (fun () -> solve budget d tbl) with
-  | s -> Ok s
-  | exception Stuck stuck -> Error stuck
-
-let run_par ?(budget = Budget.unlimited ()) runner d tbl =
+let run ?(budget = Budget.unlimited ()) ?(runner = Table.seq_runner) d tbl =
   match
-    Metrics.with_span "opt-s-repair" (fun () -> solve_par runner budget d tbl)
+    Metrics.with_span "opt-s-repair" (fun () -> solve runner budget d tbl)
   with
   | s -> Ok s
   | exception Stuck stuck -> Error stuck

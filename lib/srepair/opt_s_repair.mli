@@ -21,31 +21,24 @@
 open Repair_relational
 open Repair_fd
 
-(** [run ?budget d tbl] executes OptSRepair. [Ok s] is an optimal
-    S-repair; [Error stuck] reports the simplified-but-nontrivial FD set
-    on which the algorithm got stuck. Every recursive simplification step
-    is a [budget] checkpoint (phase ["opt-s-repair"]); exhaustion raises
-    {!Repair_runtime.Repair_error.Budget_exhausted}. *)
+(** [run ?budget ?runner d tbl] executes OptSRepair. [Ok s] is an
+    optimal S-repair; [Error stuck] reports the simplified-but-nontrivial
+    FD set on which the algorithm got stuck. Every recursive
+    simplification step is a [budget] checkpoint (phase
+    ["opt-s-repair"]); exhaustion raises
+    {!Repair_runtime.Repair_error.Budget_exhausted}.
+
+    A [runner] wider than 1 chunks the top-level grouping pass and
+    solves the top-level blocks as independent tasks through
+    {!Table.fold_budgeted}; each block's own recursion stays sequential
+    inside its task. Results are bit-identical at any width —
+    distances, block unions, metrics counters and tick totals — because
+    blocks combine in group order and worker metrics merge exactly. A
+    limited [budget] keeps every block inline, so exhaustion points are
+    preserved bit for bit. *)
 val run :
   ?budget:Repair_runtime.Budget.t ->
-  Fd_set.t ->
-  Table.t ->
-  (Table.t, Fd_set.t) result
-
-(** [run_par ?budget runner d tbl] is {!run} with the top-level
-    simplification's blocks solved as independent [runner] tasks (each
-    block's recursion stays sequential inside its task): the grouping
-    pass goes through {!Table.group_by_par} and the per-block solves
-    through [runner.run]. Results are bit-identical to {!run} —
-    distances, block unions, metrics counters and tick totals — because
-    blocks merge in group order, each task solves under a fresh
-    unlimited budget whose steps are absorbed at the barrier, and worker
-    metrics merge exactly. A {e limited} [budget] disables fan-out
-    entirely (the sequential path runs unchanged), so exhaustion points
-    are preserved bit-for-bit. *)
-val run_par :
-  ?budget:Repair_runtime.Budget.t ->
-  Table.runner ->
+  ?runner:Table.runner ->
   Fd_set.t ->
   Table.t ->
   (Table.t, Fd_set.t) result
@@ -64,7 +57,7 @@ val distance :
 
 (** Raised by the raw entry points below when no simplification applies
     to the (simplified, nontrivial) FD set — the hard side of the
-    dichotomy. [run]/[run_par] turn it into [Error]. *)
+    dichotomy. [run] turns it into [Error]. *)
 exception Stuck of Fd_set.t
 
 (** [solve_block ?budget d tbl] is the raw recursive solve on one block:

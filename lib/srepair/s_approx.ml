@@ -1,15 +1,9 @@
 open Repair_relational
 module Vc = Repair_graph.Vertex_cover
 
-let approx2 d tbl =
+let approx2 ?runner d tbl =
   Repair_obs.Metrics.with_span "s-approx" @@ fun () ->
-  let cg = Conflict_graph.build d tbl in
-  let cover = Vc.approx2 (Conflict_graph.graph cg) in
-  Conflict_graph.delete_cover cg tbl cover
-
-let approx2_par runner d tbl =
-  Repair_obs.Metrics.with_span "s-approx" @@ fun () ->
-  let cg = Conflict_graph.build_par runner d tbl in
+  let cg = Conflict_graph.build ?runner d tbl in
   let cover = Vc.approx2 (Conflict_graph.graph cg) in
   Conflict_graph.delete_cover cg tbl cover
 

@@ -6,15 +6,11 @@
 open Repair_relational
 open Repair_fd
 
-(** [approx2 d tbl] is a consistent subset [S] with
-    [dist_sub(S, T) ≤ 2 · dist_sub(S*, T)]. *)
-val approx2 : Fd_set.t -> Table.t -> Table.t
-
-(** [approx2_par runner d tbl] is {!approx2} with the conflict graph
-    built by {!Conflict_graph.build_par} — bit-identical result (the
-    vertex-cover pass sees the same graph with the same edge insertion
-    order). *)
-val approx2_par : Table.runner -> Fd_set.t -> Table.t -> Table.t
+(** [approx2 ?runner d tbl] is a consistent subset [S] with
+    [dist_sub(S, T) ≤ 2 · dist_sub(S*, T)]. [runner] goes to
+    {!Conflict_graph.build}; the result is bit-identical at any width,
+    because the vertex-cover pass sees the same graph. *)
+val approx2 : ?runner:Table.runner -> Fd_set.t -> Table.t -> Table.t
 
 (** [distance d tbl] is the achieved (not optimal) distance. *)
 val distance : Fd_set.t -> Table.t -> float

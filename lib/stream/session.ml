@@ -68,8 +68,9 @@ type mode = Trivial | Poly of poly | Hard of Cg.Incremental.t
 (* A cached block result: the repair (a view over the session store),
    the metrics captured while solving it, and the budget steps it spent.
    Summaries replay capture and steps in block order — the same
-   absorb-at-the-barrier contract Opt_s_repair.solve_par uses — so
-   integer metrics come out equal to an inline solve. *)
+   absorb-at-the-barrier contract Table.fold_budgeted uses when
+   Opt_s_repair fans blocks out — so integer metrics come out equal to
+   an inline solve. *)
 type entry = {
   e_repair : Table.t;
   e_captured : Metrics.captured;
@@ -209,7 +210,8 @@ let block_key t key members =
     d
 
 (* Solve one block under the residual FD set, under Metrics.capture with
-   a fresh unlimited budget — exactly what a solve_par worker task does.
+   a fresh unlimited budget — exactly what a Table.fold_budgeted worker
+   task does when Opt_s_repair fans blocks out.
    The captured registry and spent steps go into the cache entry so
    summaries can replay them. *)
 let solve_entry t p key members =

@@ -148,7 +148,7 @@ let diagnose_component c =
         Known_apx_hard "Theorem 4.10: Δ_{A↔B→C}"
       else Open_complexity
 
-let solve_component ?(budget = Budget.unlimited ()) c tbl =
+let solve_component ~budget c tbl =
   Budget.tick ~phase:"opt-u-repair" budget;
   if Fd_set.is_trivial c then tbl
   else
@@ -173,35 +173,6 @@ let compose schema base updates_with_attrs =
             attrs t))
     base updates_with_attrs
 
-let solve ?budget d tbl =
-  let schema = Table.schema tbl in
-  let d = Fd_set.normalize d in
-  try
-    let consensus = Fd_set.consensus_attrs d in
-    let base =
-      if Attr_set.is_empty consensus then tbl
-      else consensus_majority tbl consensus
-    in
-    let rest = Fd_set.remove_trivial (Fd_set.minus d consensus) in
-    let component_updates =
-      Fd_set.components rest
-      |> List.filter (fun c -> not (Fd_set.is_trivial c))
-      |> List.map (fun c -> (Fd_set.attrs c, solve_component ?budget c tbl))
-    in
-    Ok (compose schema base component_updates)
-  with Refuse f -> Error f
-
-let solve_exn ?budget d tbl =
-  match solve ?budget d tbl with
-  | Ok u -> u
-  | Error f ->
-    failwith
-      (Fmt.str "Opt_u_repair: component %a is not known tractable" Fd_set.pp
-         f.component)
-
-let distance ?budget d tbl =
-  Result.map (fun u -> Table.dist_upd u tbl) (solve ?budget d tbl)
-
 let diagnose d =
   let d = Fd_set.normalize d in
   let rest = Fd_set.remove_trivial (Fd_set.minus d (Fd_set.consensus_attrs d)) in
@@ -216,55 +187,50 @@ let diagnose d =
   in
   Fd_set.components rest |> List.find_map refusal
 
-let tractable d = diagnose d = None
-
-(* Parallel driver: Theorem 4.1's components touch disjoint attribute
-   sets, so they solve as independent runner tasks and compose exactly
-   as in the sequential pass. Fan-out needs two preconditions: an
-   unlimited budget (a limited budget's exhaustion point is observable,
-   so limited runs stay on the sequential path), and a refusal-free Δ —
-   refusal depends on Δ only ({!diagnose}), and checking it up front
-   keeps the Error path byte-identical to the sequential solver's (same
-   first-refused component, no extra work on later components). Worker
-   budgets are fresh and unlimited; their spent steps are absorbed into
-   the orchestrating budget in component order, so tick totals match the
-   sequential run exactly. *)
-let solve_par ?(budget = Budget.unlimited ()) (runner : Table.runner) d tbl =
-  if Budget.limited budget || diagnose d <> None then solve ~budget d tbl
-  else
-    let schema = Table.schema tbl in
-    let d = Fd_set.normalize d in
+(* Theorem 4.1's components touch disjoint attribute sets, so a wide
+   [runner] solves them as independent tasks ([Table.fold_budgeted]) and
+   composes them exactly as the inline pass does. One extra rule: a Δ
+   with a refused component runs inline. Refusal depends on Δ only, and
+   keeping it inline keeps the Error path — the first refused component,
+   no work on later ones — byte-identical. [diagnose] runs only for
+   wide runners, so the 1-domain path does no extra work. *)
+let solve ?(budget = Budget.unlimited ()) ?(runner = Table.seq_runner) d tbl =
+  let runner =
+    if runner.Table.width > 1 && diagnose d <> None then Table.seq_runner
+    else runner
+  in
+  let schema = Table.schema tbl in
+  let d = Fd_set.normalize d in
+  try
     let consensus = Fd_set.consensus_attrs d in
     let base =
       if Attr_set.is_empty consensus then tbl
       else consensus_majority tbl consensus
     in
     let rest = Fd_set.remove_trivial (Fd_set.minus d consensus) in
-    let comps =
-      Fd_set.components rest
-      |> List.filter (fun c -> not (Fd_set.is_trivial c))
-    in
-    let component_updates =
-      match comps with
-      | [] | [ _ ] ->
-        List.map (fun c -> (Fd_set.attrs c, solve_component ~budget c tbl)) comps
-      | _ ->
-        let tasks =
-          List.map
-            (fun c () ->
-              let b = Budget.unlimited () in
-              let u = solve_component ~budget:b c tbl in
-              (u, Budget.steps b))
-            comps
-        in
-        let results = runner.Table.run (Array.of_list tasks) in
-        Array.iter (fun (_, steps) -> Budget.absorb budget ~steps) results;
-        List.map2
-          (fun c (u, _) -> (Fd_set.attrs c, u))
-          comps
-          (Array.to_list results)
-    in
-    Ok (compose schema base component_updates)
+    Fd_set.components rest
+    |> List.filter (fun c -> not (Fd_set.is_trivial c))
+    |> Table.fold_budgeted runner budget
+         (fun b c -> (Fd_set.attrs c, solve_component ~budget:b c tbl))
+         (fun updates u -> u :: updates)
+         []
+    |> List.rev
+    |> compose schema base
+    |> Result.ok
+  with Refuse f -> Error f
+
+let solve_exn ?budget d tbl =
+  match solve ?budget d tbl with
+  | Ok u -> u
+  | Error f ->
+    failwith
+      (Fmt.str "Opt_u_repair: component %a is not known tractable" Fd_set.pp
+         f.component)
+
+let distance ?budget d tbl =
+  Result.map (fun u -> Table.dist_upd u tbl) (solve ?budget d tbl)
+
+let tractable d = diagnose d = None
 
 let pp_failure ppf f =
   Fmt.pf ppf "component %a: %s" Fd_set.pp f.component

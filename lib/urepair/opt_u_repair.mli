@@ -37,28 +37,22 @@ type failure = { component : Fd_set.t; hardness : hardness }
     written into every other tuple (Proposition B.2 / Corollary B.3). *)
 val consensus_majority : Table.t -> Attr_set.t -> Table.t
 
-(** [solve ?budget d tbl] is [Ok u] with [u] an optimal U-repair, or
-    [Error f] naming the first component the solver cannot handle in
-    polynomial time. Each component is a [budget] checkpoint (phase
-    ["opt-u-repair"]), and the budget also covers the embedded OptSRepair
-    runs; exhaustion raises
-    {!Repair_runtime.Repair_error.Budget_exhausted}. *)
+(** [solve ?budget ?runner d tbl] is [Ok u] with [u] an optimal
+    U-repair, or [Error f] naming the first component the solver cannot
+    handle in polynomial time. Each component is a [budget] checkpoint
+    (phase ["opt-u-repair"]), and the budget also covers the embedded
+    OptSRepair runs; exhaustion raises
+    {!Repair_runtime.Repair_error.Budget_exhausted}.
+
+    A [runner] wider than 1 solves Theorem 4.1's attribute-disjoint
+    components as independent tasks through {!Table.fold_budgeted}.
+    The result is bit-identical to the inline run: components compose in
+    component order and worker metrics merge exactly. A limited
+    [budget], or a Δ with any refused component (refusal is Δ-only),
+    runs inline. *)
 val solve :
   ?budget:Repair_runtime.Budget.t ->
-  Fd_set.t ->
-  Table.t ->
-  (Table.t, failure) result
-
-(** [solve_par ?budget runner d tbl] is {!solve} with Theorem 4.1's
-    attribute-disjoint components solved as independent [runner] tasks.
-    Bit-identical to {!solve}: components compose in component order,
-    each task runs under a fresh unlimited budget whose steps are
-    absorbed at the barrier, and worker metrics merge exactly. A
-    {e limited} [budget], or a Δ with any refused component (refusal is
-    Δ-only), takes the sequential path unchanged. *)
-val solve_par :
-  ?budget:Repair_runtime.Budget.t ->
-  Repair_relational.Table.runner ->
+  ?runner:Table.runner ->
   Fd_set.t ->
   Table.t ->
   (Table.t, failure) result

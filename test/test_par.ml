@@ -329,7 +329,7 @@ let group_by_par_matches width =
       List.for_all
         (fun k ->
           let x = Attr_set.of_list (List.filteri (fun i _ -> i < k) attrs) in
-          groups_equal (Table.group_by tbl x) (Table.group_by_par runner tbl x))
+          groups_equal (Table.group_by tbl x) (Table.group_by ~runner tbl x))
         [ 1; 2; 3 ])
 
 let group_by_par_chunk_layouts =
@@ -345,7 +345,7 @@ let group_by_par_chunk_layouts =
       List.for_all
         (fun _ ->
           let chunk_sizes = random_chunk_sizes st (Table.size tbl) in
-          groups_equal expected (Table.group_by_par runner ~chunk_sizes tbl x))
+          groups_equal expected (Table.group_by ~runner ~chunk_sizes tbl x))
         [ 1; 2; 3 ])
 
 (* ---------- differential: conflict graph ---------------------------- *)
@@ -357,7 +357,7 @@ let conflict_graph_par_matches width =
     (fun inst ->
       let d, tbl = build inst in
       let runner = Pool.runner (pool_of width) in
-      cgs_equal (Cg.build d tbl) (Cg.build_par runner d tbl))
+      cgs_equal (Cg.build d tbl) (Cg.build ~runner d tbl))
 
 (* ---------- differential: s-repair / u-repair ----------------------- *)
 
@@ -515,7 +515,7 @@ let test_determinism_stress () =
   let st = Random.State.make [| 0xDEAD |] in
   for i = 1 to 50 do
     let runner = perturbed_runner pool st in
-    match Opt_s.run_par runner d tbl with
+    match Opt_s.run ~runner d tbl with
     | Error _ -> Alcotest.fail "parallel run refused a tractable instance"
     | Ok s ->
       let r =
@@ -544,7 +544,7 @@ let test_approx_par_stress () =
     Alcotest.(check string)
       (Printf.sprintf "approx2_par iteration %d" i)
       reference
-      (Csv_io.to_string (S_approx.approx2_par runner d tbl))
+      (Csv_io.to_string (S_approx.approx2 ~runner d tbl))
   done
 
 (* ---------- domain-safety hammers ----------------------------------- *)
