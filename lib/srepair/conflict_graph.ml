@@ -46,7 +46,8 @@ let build ?(runner = Table.seq_runner) d tbl =
     let groups = Table.View.group_within ~runner tbl all (Fd.lhs fd) in
     let n_groups = List.length groups in
     let shards = max 1 (min runner.Table.width n_groups) in
-    if shards = 1 then List.iter (cross (G.add_edge graph)) groups
+    if shards = 1 then
+      List.iter (cross (fun u v -> G.add_edge graph u v)) groups
     else begin
       (* Shard contiguous runs of lhs-groups over the runner. Shards only
          read the store and return their edges in generation order;
