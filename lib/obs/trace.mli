@@ -1,7 +1,7 @@
 (** Bounded event tracer: a ring buffer of begin/end/instant events with
     monotone timestamps, recorded by the same instrumentation points that
     feed {!Metrics} (every [Metrics.with_span] emits a matched
-    begin/end pair, every {!Repair_runtime.Budget.tick} an instant).
+    begin/end pair; a few milestones emit instants).
 
     Design contract, mirroring {!Metrics}:
 
