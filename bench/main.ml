@@ -756,21 +756,19 @@ let e19 () =
    shaped like the library's hot paths:
 
    - chain:    common-lhs recursion skeleton — group_by on one attribute,
-               then fold the groups back together with union;
+               then put the groups back together with union_all;
    - marriage: group_by on a two-attribute key (the lhs-marriage block
                partition);
    - conflict: conflict-graph construction for one FD plus the VC
                2-approximation.
 
    The full run self-checks near-linear growth: from 10k to 100k rows
-   (10× the data) the marriage and conflict times may grow at most 25×.
-   Chain is recorded but not gated: its union fold re-copies the
-   accumulator for every group, O(groups·n) (ROADMAP item 1). The smoke
+   (10× the data) each workload's time may grow at most 25×. The smoke
    subset keeps only the 1k point so CI can gate the records cheaply. *)
 let e20_smoke = ref false
 
 let e20 () =
-  section "E20" "Columnar core scaling — grouping, union fold, conflict graph";
+  section "E20" "Columnar core scaling — grouping, union, conflict graph";
   let schema = Schema.make "Scale" [ "A"; "B"; "C" ] in
   let xa = Attr_set.of_list [ "A" ] in
   let xb = Attr_set.of_list [ "B" ] in
@@ -819,13 +817,11 @@ let e20 () =
                      Value.int (Rng.in_range rng 1 10) ] )))
       in
 
-      (* --- chain: group_by A then fold union --- *)
+      (* --- chain: group_by A then union_all --- *)
       let c_res, ms =
         time (fun () ->
-            Table.group_by chain_tbl xa
-            |> List.fold_left
-                 (fun acc (_, sub) -> Table.union acc sub)
-                 (Table.empty schema))
+            Table.group_by chain_tbl xa |> List.map snd
+            |> Table.union_all schema)
       in
       check
         (Printf.sprintf "chain n=%d: the union of the groups is the table" n)
@@ -858,6 +854,7 @@ let e20 () =
     row "  100k/10k time ratio (linear = 10x): chain %.1fx, marriage %.1fx, \
          conflict %.1fx@."
       (growth "chain") (growth "marriage") (growth "conflict");
+    check "chain 100k/10k time ratio is at most 25x" (growth "chain" <= 25.0);
     check "marriage 100k/10k time ratio is at most 25x"
       (growth "marriage" <= 25.0);
     check "conflict 100k/10k time ratio is at most 25x"
@@ -1050,10 +1047,7 @@ let e22 () =
                  Value.int (Rng.in_range rng 1 10) ] )))
   in
   (* sequential baselines — and the reference results for bit-identity *)
-  let chain_pass groups =
-    List.fold_left (fun acc (_, sub) -> Table.union acc sub) (Table.empty schema)
-      groups
-  in
+  let chain_pass groups = Table.union_all schema (List.map snd groups) in
   let seq_chain, chain_seq_ms =
     time (fun () -> chain_pass (Table.group_by chain_tbl xa))
   in

@@ -46,13 +46,11 @@ module Driver = struct
     fallbacks : string list;
   }
 
-  let exact_size_limit = 64
+  let s_poly_name = Repair_srepair.Opt_s_repair.method_name
 
-  let s_poly_name = "OptSRepair (Algorithm 1)"
+  let s_exact_name = Repair_srepair.S_exact.method_name
 
-  let s_exact_name = "exact minimum-weight vertex cover (baseline)"
-
-  let s_approx_name = "Bar-Yehuda–Even 2-approximation (Proposition 3.3)"
+  let s_approx_name = Repair_srepair.S_approx.method_name
 
   let u_poly_name = "tractable-case solver (Section 4)"
 
@@ -130,7 +128,8 @@ module Driver = struct
               Log.debug (fun m -> m "s-repair: OSRSucceeds — Algorithm 1");
               rung s_poly_name poly
             end
-            else if Table.size tbl <= exact_size_limit then begin
+            else if Table.size tbl <= Repair_srepair.S_exact.size_limit
+            then begin
               Log.debug (fun m ->
                   m "s-repair: hard Δ, n=%d small — exact baseline"
                     (Table.size tbl));

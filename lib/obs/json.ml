@@ -85,6 +85,10 @@ let to_string ?(pretty = false) v =
 
 exception Parse_error of string
 
+let is_hex_digit = function
+  | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
+  | _ -> false
+
 let of_string s =
   let n = String.length s in
   let pos = ref 0 in
@@ -111,24 +115,6 @@ let of_string s =
     end
     else fail (Printf.sprintf "expected %s" word)
   in
-  let utf8_of_code b code =
-    if code < 0x80 then Buffer.add_char b (Char.chr code)
-    else if code < 0x800 then begin
-      Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
-      Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-    end
-    else if code < 0x10000 then begin
-      Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
-      Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-      Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-    end
-    else begin
-      Buffer.add_char b (Char.chr (0xF0 lor (code lsr 18)));
-      Buffer.add_char b (Char.chr (0x80 lor ((code lsr 12) land 0x3F)));
-      Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-      Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-    end
-  in
   let parse_string () =
     expect '"';
     let b = Buffer.create 16 in
@@ -151,9 +137,12 @@ let of_string s =
           let read_hex4 at =
             if at + 4 > n then fail "truncated \\u escape"
             else
-              match int_of_string_opt ("0x" ^ String.sub s at 4) with
-              | Some code -> code
-              | None -> fail "bad \\u escape"
+              (* Exactly four hex digits: [int_of_string] alone would
+                 also take "1_23" as 0x123. *)
+              let hex = String.sub s at 4 in
+              if String.for_all is_hex_digit hex then
+                int_of_string ("0x" ^ hex)
+              else fail "bad \\u escape"
           in
           let code = read_hex4 (!pos + 1) in
           if code >= 0xD800 && code <= 0xDBFF then begin
@@ -170,13 +159,13 @@ let of_string s =
             let scalar =
               0x10000 + ((code - 0xD800) lsl 10) + (lo - 0xDC00)
             in
-            utf8_of_code b scalar;
+            Buffer.add_utf_8_uchar b (Uchar.of_int scalar);
             pos := lo_at + 5
           end
           else if code >= 0xDC00 && code <= 0xDFFF then
             fail "unpaired low surrogate"
           else begin
-            utf8_of_code b code;
+            Buffer.add_utf_8_uchar b (Uchar.of_int code);
             pos := !pos + 4
           end
         | _ -> fail "bad escape");

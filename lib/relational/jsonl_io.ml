@@ -14,7 +14,10 @@ let error fmt = Fmt.kstr (fun m -> raise (Parse_error m)) fmt
 
 type cursor = { line : string; mutable pos : int }
 
-let peek c = if c.pos < String.length c.line then Some c.line.[c.pos] else None
+let peek_at c k =
+  if c.pos + k < String.length c.line then Some c.line.[c.pos + k] else None
+
+let peek c = peek_at c 0
 
 let advance c = c.pos <- c.pos + 1
 
@@ -34,6 +37,23 @@ let expect c ch =
   | Some x when x = ch -> advance c
   | Some x -> error "expected '%c', found '%c' at %d" ch x c.pos
   | None -> error "expected '%c', found end of line" ch
+
+(* The four hex digits of a \uXXXX escape; [int_of_string] alone would
+   also take "1_23" as 0x123. *)
+let hex4 c =
+  let hex = Buffer.create 4 in
+  for _ = 1 to 4 do
+    (match peek c with
+    | Some h -> Buffer.add_char hex h
+    | None -> error "truncated \\u escape");
+    advance c
+  done;
+  let hex = Buffer.contents hex in
+  if String.for_all
+       (function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false)
+       hex
+  then int_of_string ("0x" ^ hex)
+  else error "bad \\u escape %S" hex
 
 let parse_string_literal c =
   expect c '"';
@@ -56,29 +76,23 @@ let parse_string_literal c =
         go ()
       | Some 'u' ->
         advance c;
-        let hex = Buffer.create 4 in
-        for _ = 1 to 4 do
-          (match peek c with
-          | Some h -> Buffer.add_char hex h
-          | None -> error "truncated \\u escape");
-          advance c
-        done;
+        let code = hex4 c in
         let code =
-          match int_of_string_opt ("0x" ^ Buffer.contents hex) with
-          | Some code -> code
-          | None -> error "bad \\u escape %S" (Buffer.contents hex)
+          if code >= 0xD800 && code <= 0xDBFF then begin
+            (* High surrogate: a low half must follow as another \uXXXX
+               escape, and the pair encodes one astral-plane scalar. *)
+            if not (peek c = Some '\\' && peek_at c 1 = Some 'u') then
+              error "unpaired high surrogate";
+            c.pos <- c.pos + 2;
+            let lo = hex4 c in
+            if lo < 0xDC00 || lo > 0xDFFF then error "unpaired high surrogate";
+            0x10000 + ((code - 0xD800) lsl 10) + (lo - 0xDC00)
+          end
+          else if code >= 0xDC00 && code <= 0xDFFF then
+            error "unpaired low surrogate"
+          else code
         in
-        (* encode as UTF-8 (BMP only) *)
-        if code < 0x80 then Buffer.add_char buf (Char.chr code)
-        else if code < 0x800 then begin
-          Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-          Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-        end
-        else begin
-          Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-          Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-          Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-        end;
+        Buffer.add_utf_8_uchar buf (Uchar.of_int code);
         go ()
       | _ -> error "bad escape")
     | Some ch ->

@@ -582,7 +582,7 @@ let union t1 t2 =
       (* Same backing store: merge the two sorted row slices. Store ids
          are unique, so a duplicate identifier is the same row index.
          This is the hot path of the common-lhs recursion (Opt_s_repair
-         folds [union] over every group at every level), so the merge
+         takes [union_all] of the groups at every level), so the merge
          works directly on the raw index arrays and finishes each
          exhausted side with a blit. *)
       let a1 = visible_rows t1 and a2 = visible_rows t2 in
@@ -664,6 +664,22 @@ let union t1 t2 =
       { schema = t1.schema; store; len = n'; view = All }
     end
   end
+
+(* Pairwise rounds of [union]: each row is copied once per round, so k
+   operands cost O(n log k) where the left fold re-copies its
+   accumulator k times. *)
+let union_all schema tables =
+  let rec pairs acc = function
+    | t1 :: t2 :: rest -> pairs (union t1 t2 :: acc) rest
+    | [ t ] -> List.rev (t :: acc)
+    | [] -> List.rev acc
+  in
+  let rec rounds = function
+    | [] -> empty schema
+    | [ t ] -> union (empty schema) t
+    | ts -> rounds (pairs [] ts)
+  in
+  rounds tables
 
 (* ---------- updates (materializing) ---------- *)
 

@@ -181,6 +181,13 @@ val remove : t -> id list -> t
     @raise Invalid_argument if an identifier occurs in both. *)
 val union : t -> t -> t
 
+(** [union_all schema ts] is [List.fold_left union (empty schema) ts],
+    merged in pairwise rounds: O(n log k) for [k] operands and [n] rows,
+    where the fold is O(k·n).
+
+    @raise Invalid_argument if an identifier occurs in two operands. *)
+val union_all : Schema.t -> t list -> t
+
 (** [map_tuples tbl f] applies [f] to every tuple, keeping ids and weights:
     the result is an update of [tbl] in the paper's sense. *)
 val map_tuples : t -> (id -> Tuple.t -> Tuple.t) -> t

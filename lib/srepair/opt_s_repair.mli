@@ -1,25 +1,60 @@
-(** Algorithm 1 ([OptSRepair]) with its three subroutines.
+(** Algorithm 1 ([OptSRepair]).
 
-    The algorithm repeatedly simplifies (Δ, T):
+    The algorithm repeatedly simplifies (Δ, T). Each {!step} partitions
+    the table on an attribute set X, solves every block under Δ − X, and
+    combines the block repairs:
 
-    - {e common lhs} ([CommonLHSRep], Subroutine 1): if some attribute [A]
-      occurs in every lhs, partition by [A], solve each block under
-      [Δ − A], and return the union;
-    - {e consensus} ([ConsensusRep], Subroutine 2): if Δ has a consensus FD
-      [∅ → X], partition by [X], solve each block under [Δ − X], and keep
-      the heaviest block repair;
-    - {e lhs marriage} ([MarriageRep], Subroutine 3): if Δ has an lhs
-      marriage [(X1, X2)], solve each [(a1, a2)]-block under [Δ − X1X2],
-      and combine blocks with a maximum-weight bipartite matching between
-      the [X1]- and [X2]-projections.
+    - {e common lhs} ([CommonLHSRep], Subroutine 1): some attribute [A]
+      occurs in every lhs; X = [A], and the result is the union of the
+      block repairs;
+    - {e consensus} ([ConsensusRep], Subroutine 2): Δ has a consensus FD
+      [∅ → X]; the result is the heaviest block repair;
+    - {e lhs marriage} ([MarriageRep], Subroutine 3): Δ has an lhs
+      marriage [(X1, X2)]; X = X1X2, and the block repairs are combined
+      by a maximum-weight bipartite matching between the [X1]- and
+      [X2]-projections.
 
     If none applies and Δ is still nontrivial, the algorithm fails; by the
     dichotomy (Theorem 3.4) the problem is then APX-complete. On success
     the result is an optimal S-repair (Theorem 3.2), and the run takes
-    polynomial time even under combined complexity. *)
+    polynomial time even under combined complexity.
+
+    {!step}, {!partition}, {!span_name} and {!combine} are the one
+    definition of a simplification step: {!run} recurses on them, and
+    streaming maintenance (DESIGN §16) applies them to cached block
+    repairs. *)
 
 open Repair_relational
 open Repair_fd
+
+(** The method name the driver reports for a run of {!run}. *)
+val method_name : string
+
+(** One simplification step of Algorithm 1. *)
+type step =
+  | Common_lhs of Attr_set.attribute  (** Subroutine 1 *)
+  | Consensus of Fd.t  (** Subroutine 2: the consensus FD [∅ → X] *)
+  | Marriage of Attr_set.t * Attr_set.t  (** Subroutine 3: [(X1, X2)] *)
+
+(** [step d] is the step that applies to a nontrivial [d]: common lhs
+    first, then consensus, then lhs marriage. [None] is the hard side. *)
+val step : Fd_set.t -> step option
+
+(** [partition s] is the attribute set X the step partitions on; the
+    blocks are solved under Δ − X. *)
+val partition : step -> Attr_set.t
+
+(** [span_name s] is the metrics span a step runs under:
+    ["common-lhs"], ["consensus"] or ["marriage"]. *)
+val span_name : step -> string
+
+(** [combine schema s blocks] combines the solved blocks of one step,
+    given in group order (sorted on their X-projection), each as (any
+    member tuple of the block, the block's optimal repair): the
+    {!Table.union_all} of the repairs for common lhs, the first heaviest
+    repair for consensus, and the union of the matched repairs for lhs
+    marriage. *)
+val combine : Schema.t -> step -> (Tuple.t * Table.t) list -> Table.t
 
 (** [run ?budget ?runner d tbl] executes OptSRepair. [Ok s] is an
     optimal S-repair; [Error stuck] reports the simplified-but-nontrivial
@@ -73,11 +108,3 @@ val solve_block :
     (Theorem 3.4: success depends on Δ only).
     @raise Stuck when the chain gets stuck. *)
 val check_delta_only : Fd_set.t -> unit
-
-(** [marriage_combine schema blocks] is the matching tail of Subroutine 3:
-    given each (X1∪X2)-block's two projections and its solved repair,
-    keep the maximum-weight matching between X1- and X2-values. Exposed
-    so cached block repairs can be recombined exactly as the batch path
-    combines fresh ones. *)
-val marriage_combine :
-  Schema.t -> (Tuple.t * Tuple.t * Table.t) list -> Table.t

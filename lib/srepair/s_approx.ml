@@ -1,6 +1,8 @@
 open Repair_relational
 module Vc = Repair_graph.Vertex_cover
 
+let method_name = "Bar-Yehuda–Even 2-approximation (Proposition 3.3)"
+
 let approx2 ?runner d tbl =
   Repair_obs.Metrics.with_span "s-approx" @@ fun () ->
   let cg = Conflict_graph.build ?runner d tbl in

@@ -6,6 +6,9 @@
 open Repair_relational
 open Repair_fd
 
+(** The method name the driver reports for a run of {!approx2}. *)
+val method_name : string
+
 (** [approx2 ?runner d tbl] is a consistent subset [S] with
     [dist_sub(S, T) ≤ 2 · dist_sub(S*, T)]. [runner] goes to
     {!Conflict_graph.build}; the result is bit-identical at any width,

@@ -3,6 +3,9 @@ open Repair_fd
 open Repair_runtime
 module Vc = Repair_graph.Vertex_cover
 
+let method_name = "exact minimum-weight vertex cover (baseline)"
+let size_limit = 64
+
 let optimal ?budget d tbl =
   Repair_obs.Metrics.with_span "s-exact" @@ fun () ->
   let cg = Conflict_graph.build d tbl in

@@ -10,6 +10,13 @@
 open Repair_relational
 open Repair_fd
 
+(** The method name the driver reports for a run of {!optimal}. *)
+val method_name : string
+
+(** The largest hard-side table (in rows) that the driver's automatic
+    ladder hands to {!optimal}; larger ones go to {!S_approx.approx2}. *)
+val size_limit : int
+
 (** [optimal ?budget d tbl] is an optimal S-repair of [tbl] under [d]. *)
 val optimal : ?budget:Repair_runtime.Budget.t -> Fd_set.t -> Table.t -> Table.t
 

@@ -10,19 +10,18 @@
    rebuilds the store). Deletes are tombstoned positions applied at
    summary time (materializing is O(n), so it runs once per summary,
    never per tick). Every block sub-view, cached block repair, and the
-   materialized table are views over this one store — which is what
-   makes [Table.union]'s same-store merge fast path and byte-identical
-   rendering possible.
+   materialized table are views over this one store, so the combined
+   repair renders byte for byte like a cold run's.
 
    Soundness of block locality: the first OptSRepair simplification
-   partitions the table on a fixed attribute set (common-lhs attribute,
-   consensus rhs, or marriage X1∪X2), and blocks never interact below
-   the top-level combine. An insert or delete therefore perturbs exactly
-   one block — re-solve it, reuse every other block's cached result
-   verbatim. The hard side of the dichotomy has no such decomposition
-   (minimum vertex cover is global), so hard sessions maintain the
-   conflict graph incrementally instead and re-run the cover per
-   summary. *)
+   ([Opt_s_repair.step]) partitions the table on a fixed attribute set,
+   and blocks never interact below the top-level combine. An insert or
+   delete therefore perturbs exactly one block — re-solve it, reuse
+   every other block's cached result verbatim, and recombine them with
+   [Opt_s_repair.combine], exactly as the batch top level does. The
+   hard side of the dichotomy has no such decomposition (minimum vertex
+   cover is global), so hard sessions maintain the conflict graph
+   incrementally instead and re-run the cover per summary. *)
 
 open Repair_relational
 open Repair_fd
@@ -40,30 +39,22 @@ module Tmap = Map.Make (struct
   let compare = Tuple.compare
 end)
 
-module Ttbl = Hashtbl.Make (struct
-  type t = Tuple.t
-
-  let equal = Tuple.equal
-  let hash = Tuple.hash
-end)
-
-(* The driver's Auto ladder, replicated. [Driver] lives above this
-   library (lib/core aggregates it), so the constants are duplicated
-   here; test_stream asserts they stay equal to the driver's. *)
-let exact_size_limit = 64
-let poly_method = "OptSRepair (Algorithm 1)"
-let exact_method = "exact minimum-weight vertex cover (baseline)"
-let approx_method = "Bar-Yehuda–Even 2-approximation (Proposition 3.3)"
-
-type kind = Common_lhs | Consensus | Marriage of Attr_set.t * Attr_set.t
-
 type poly = {
-  part : Attr_set.t; (* top-level partition attributes *)
-  kind : kind;
+  step : Osr.step; (* the top-level simplification *)
+  part : Attr_set.t; (* its partition attributes *)
   smaller : Fd_set.t; (* residual FD set inside a block *)
 }
 
 type mode = Trivial | Poly of poly | Hard of Cg.Incremental.t
+
+(* A block's alive members: store positions, ascending, and their ids.
+   Positions ascend in id order, so [ids] ascends too. Ids are never
+   reused and tuples never change, so equal id arrays mean equal blocks:
+   [ids] is the block-cache key. Any membership change (insert OR
+   delete) yields a fresh key, so a churned block can never be served a
+   stale repair, and an undone insert legitimately re-hits the old
+   entry. *)
+type block = { positions : int array; ids : Table.id array }
 
 (* A cached block result: the repair (a view over the session store),
    the metrics captured while solving it, and the budget steps it spent.
@@ -80,17 +71,13 @@ type entry = {
 type t = {
   delta : Fd_set.t;
   dt : Fd_set.t; (* remove_trivial delta *)
-  salt : string; (* schema + FD text: the cache-key prefix *)
   schema : Schema.t;
   mode : mode;
   mutable work : Table.t;
   mutable dead : Iset.t; (* tombstoned positions of [work] *)
   pos_of_id : (Table.id, int) Hashtbl.t; (* live ids only *)
-  mutable blocks : Iset.t Tmap.t; (* Poly: partition key -> alive positions *)
-  dig : string Ttbl.t; (* memoized block-cache keys; dropped on any
-                          membership change, so a stale digest can
-                          never survive a churned block *)
-  bcache : (string, entry) Cache.t;
+  mutable blocks : block Tmap.t; (* Poly: partition key -> alive members *)
+  bcache : (Table.id array, entry) Cache.t;
   mutable ticks : int;
   mutable inserts : int;
   mutable deletes : int;
@@ -124,36 +111,35 @@ let create ?(cache_capacity = default_cache_capacity) d base =
     else if not (Repair_dichotomy.Simplify.succeeds d) then
       Hard (Cg.Incremental.of_table d work)
     else
-      match Fd_set.common_lhs dt with
-      | Some a ->
-        let part = Attr_set.singleton a in
-        Poly { part; kind = Common_lhs; smaller = Fd_set.minus dt part }
-      | None -> (
-        match Fd_set.consensus_fd dt with
-        | Some fd ->
-          let part = Fd.rhs fd in
-          Poly { part; kind = Consensus; smaller = Fd_set.minus dt part }
-        | None -> (
-          match Fd_set.lhs_marriage dt with
-          | Some (x1, x2) ->
-            let part = Attr_set.union x1 x2 in
-            Poly { part; kind = Marriage (x1, x2); smaller = Fd_set.minus dt part }
-          | None ->
-            (* Simplify.succeeds said the chain completes. *)
-            assert false))
+      match Osr.step dt with
+      | Some step ->
+        let part = Osr.partition step in
+        Poly { step; part; smaller = Fd_set.minus dt part }
+      | None ->
+        (* Simplify.succeeds said the chain completes. *)
+        assert false
+  in
+  let blocks =
+    match mode with
+    | Poly p ->
+      List.fold_left
+        (fun m (key, positions) ->
+          let ids = Array.map (Table.View.id work) positions in
+          Tmap.add key { positions; ids } m)
+        Tmap.empty
+        (Table.View.groups work p.part)
+    | Trivial | Hard _ -> Tmap.empty
   in
   let t =
     {
       delta = d;
       dt;
-      salt = Fmt.str "%a|%a" Schema.pp schema Fd_set.pp d;
       schema;
       mode;
       work;
       dead = Iset.empty;
       pos_of_id = Hashtbl.create (max 16 (2 * n));
-      blocks = Tmap.empty;
-      dig = Ttbl.create 64;
+      blocks;
       bcache = Cache.create ~name:"stream.block-cache" ~capacity:cache_capacity;
       ticks = 0;
       inserts = 0;
@@ -165,17 +151,6 @@ let create ?(cache_capacity = default_cache_capacity) d base =
   for pos = 0 to n - 1 do
     Hashtbl.replace t.pos_of_id (Table.View.id work pos) pos
   done;
-  (match t.mode with
-  | Poly p ->
-    for pos = 0 to n - 1 do
-      let key = Tuple.project schema (Table.View.tuple work pos) p.part in
-      t.blocks <-
-        Tmap.update key
-          (function
-            | None -> Some (Iset.singleton pos) | Some s -> Some (Iset.add pos s))
-          t.blocks
-    done
-  | Trivial | Hard _ -> ());
   t
 
 let fds t = t.delta
@@ -186,60 +161,27 @@ let last_id t =
   let n = Table.size t.work in
   if n = 0 then min_int else Table.View.id t.work (n - 1)
 
-(* Block-cache key: (schema hash, group key, member-id slice). The
-   member-id slice is load-bearing — any membership change (insert OR
-   delete) yields a fresh key, so a delete in one group can never serve
-   a stale cached block, and an undone insert legitimately re-hits the
-   old slice's entry (ids are never reused, tuples are immutable). *)
-let block_key t key members =
-  match Ttbl.find_opt t.dig key with
-  | Some d -> d
-  | None ->
-    let buf = Buffer.create 64 in
-    Buffer.add_string buf t.salt;
-    Buffer.add_char buf '\x00';
-    Buffer.add_string buf (Tuple.to_string key);
-    Buffer.add_char buf '\x00';
-    Iset.iter
-      (fun pos ->
-        Buffer.add_string buf (string_of_int (Table.View.id t.work pos));
-        Buffer.add_char buf ',')
-      members;
-    let d = Digest.to_hex (Digest.string (Buffer.contents buf)) in
-    Ttbl.replace t.dig key d;
-    d
-
 (* Solve one block under the residual FD set, under Metrics.capture with
    a fresh unlimited budget — exactly what a Table.fold_budgeted worker
    task does when Opt_s_repair fans blocks out.
    The captured registry and spent steps go into the cache entry so
    summaries can replay them. *)
-let solve_entry t p key members =
-  let bk = block_key t key members in
-  match Cache.find t.bcache bk with
+let solve_entry t p b =
+  match Cache.find t.bcache b.ids with
   | Some e -> e
   | None -> (
     Metrics.incr "stream.block-solves";
-    let sub =
-      let arr = Array.make (Iset.cardinal members) 0 in
-      let k = ref 0 in
-      Iset.iter
-        (fun pos ->
-          Array.unsafe_set arr !k pos;
-          incr k)
-        members;
-      Table.View.of_positions t.work arr
-    in
+    let sub = Table.View.of_positions t.work b.positions in
     let res, captured =
       Metrics.capture (fun () ->
-          let b = Budget.unlimited () in
-          let s = Osr.solve_block ~budget:b p.smaller sub in
-          (s, Budget.steps b))
+          let budget = Budget.unlimited () in
+          let s = Osr.solve_block ~budget p.smaller sub in
+          (s, Budget.steps budget))
     in
     match res with
     | Ok (s, steps) ->
       let e = { e_repair = s; e_captured = captured; e_steps = steps } in
-      Cache.add t.bcache bk e;
+      Cache.add t.bcache b.ids e;
       e
     | Error exn -> raise exn)
 
@@ -269,15 +211,16 @@ let apply_insert t ~id ~weight values =
   | Trivial -> ()
   | Hard cg -> Cg.Incremental.insert cg ~id ~weight tuple
   | Poly p ->
+    (* The new row is the store tip: the highest position and id. *)
     let key = Tuple.project t.schema tuple p.part in
-    let members =
-      Iset.add pos
-        (match Tmap.find_opt key t.blocks with
-        | Some s -> s
-        | None -> Iset.empty)
+    let b =
+      match Tmap.find_opt key t.blocks with
+      | Some b ->
+        { positions = Array.append b.positions [| pos |];
+          ids = Array.append b.ids [| id |] }
+      | None -> { positions = [| pos |]; ids = [| id |] }
     in
-    t.blocks <- Tmap.add key members t.blocks;
-    Ttbl.remove t.dig key;
+    t.blocks <- Tmap.add key b t.blocks;
     Metrics.incr "stream.dirty-blocks";
     Metrics.incr ~by:(Tmap.cardinal t.blocks) "stream.blocks"
 
@@ -294,11 +237,18 @@ let apply_delete t id =
     | Hard cg -> Cg.Incremental.delete cg id
     | Poly p ->
       let key = Tuple.project t.schema (Table.View.tuple t.work pos) p.part in
-      let members = Iset.remove pos (Tmap.find key t.blocks) in
-      Ttbl.remove t.dig key;
-      if Iset.is_empty members then t.blocks <- Tmap.remove key t.blocks
+      let b = Tmap.find key t.blocks in
+      let n = Array.length b.positions in
+      if n = 1 then t.blocks <- Tmap.remove key t.blocks
       else begin
-        t.blocks <- Tmap.add key members t.blocks;
+        let k = Option.get (Array.find_index (Int.equal pos) b.positions) in
+        let drop a =
+          Array.init (n - 1) (fun i -> if i < k then a.(i) else a.(i + 1))
+        in
+        t.blocks <-
+          Tmap.add key
+            { positions = drop b.positions; ids = drop b.ids }
+            t.blocks;
         Metrics.incr "stream.dirty-blocks";
         Metrics.incr ~by:(Tmap.cardinal t.blocks) "stream.blocks"
       end)
@@ -346,80 +296,6 @@ type report = {
   method_used : string;
 }
 
-(* The top-level combine, replicating the batch solve's structure on the
-   cached blocks. Tmap.bindings iterates keys in Tuple.compare order —
-   the same order Table.group_by sorts its groups — and every alive
-   position is in exactly one block, so the blocks here are the blocks a
-   cold group_by on the materialized table would produce, in the same
-   order, viewing the same store positions. *)
-let combine t p budget =
-  let use key members =
-    let e = solve_entry t p key members in
-    Metrics.merge e.e_captured;
-    Budget.absorb budget ~steps:e.e_steps;
-    e.e_repair
-  in
-  let blocks = Tmap.bindings t.blocks in
-  match p.kind with
-  | Common_lhs ->
-    (* Equivalent to folding same-store [Table.union] over the blocks —
-       that merge only id-sorts the kept rows — but built in one pass.
-       Session store positions are in id order (create seeds them from
-       the base's id-ordered view and inserts only append with larger
-       ids), so marking kept positions in a bitmap and scanning it
-       ascending produces exactly the id-sorted merge the fold would.
-       Kept positions per block come from matching the block repair's
-       (ascending) ids against the block's (ascending-by-id) member
-       positions — no hashing, one pass per block. *)
-    let n_store = Table.size t.work in
-    let keep = Bytes.make n_store '\000' in
-    let total = ref 0 in
-    List.iter
-      (fun (key, members) ->
-        let r = use key members in
-        let ids = Table.View.ids_array r in
-        let n_ids = Array.length ids in
-        total := !total + n_ids;
-        let j = ref 0 in
-        Iset.iter
-          (fun pos ->
-            if !j < n_ids && Table.View.id t.work pos = Array.unsafe_get ids !j
-            then begin
-              Bytes.unsafe_set keep pos '\001';
-              incr j
-            end)
-          members)
-      blocks;
-    let kept = Array.make !total 0 in
-    let m = ref 0 in
-    for pos = 0 to n_store - 1 do
-      if Bytes.unsafe_get keep pos = '\001' then begin
-        Array.unsafe_set kept !m pos;
-        incr m
-      end
-    done;
-    Table.View.of_positions t.work kept
-  | Consensus -> (
-    match blocks with
-    | [] -> assert false (* caller guarantees a nonempty table *)
-    | (k0, m0) :: rest ->
-      List.fold_left
-        (fun best (k, ms) ->
-          let s = use k ms in
-          if Table.total_weight s > Table.total_weight best then s else best)
-        (use k0 m0) rest)
-  | Marriage (x1, x2) ->
-    let bl =
-      List.map
-        (fun (key, members) ->
-          let witness = Table.View.tuple t.work (Iset.min_elt members) in
-          ( Tuple.project t.schema witness x1,
-            Tuple.project t.schema witness x2,
-            use key members ))
-        blocks
-    in
-    Osr.marriage_combine t.schema bl
-
 let summary t =
   t.summaries <- t.summaries + 1;
   Metrics.incr "stream.summaries";
@@ -435,7 +311,7 @@ let summary t =
           Budget.tick ~phase:"opt-s-repair" budget;
           m)
     in
-    finish ~optimal:true ~ratio:1.0 ~method_used:poly_method result
+    finish ~optimal:true ~ratio:1.0 ~method_used:Osr.method_name result
   | Poly p ->
     let result =
       Metrics.with_span "opt-s-repair" (fun () ->
@@ -445,24 +321,32 @@ let summary t =
             m
           end
           else
-            let span_name =
-              match p.kind with
-              | Common_lhs -> "common-lhs"
-              | Consensus -> "consensus"
-              | Marriage _ -> "marriage"
-            in
-            Metrics.with_span span_name (fun () -> combine t p budget))
+            (* Tmap.bindings iterates keys in Tuple.compare order — the
+               order Table.group_by sorts its groups — and every alive
+               position is in exactly one block, so these are the blocks
+               a cold run on [m] solves, in the same order. Each block's
+               captured metrics and steps are replayed in that order, as
+               Table.fold_budgeted absorbs a wide run's tasks. *)
+            Metrics.with_span (Osr.span_name p.step) (fun () ->
+                Tmap.bindings t.blocks
+                |> List.map (fun (_, b) ->
+                       let e = solve_entry t p b in
+                       Metrics.merge e.e_captured;
+                       Budget.absorb budget ~steps:e.e_steps;
+                       (Table.View.tuple t.work b.positions.(0), e.e_repair))
+                |> Osr.combine t.schema p.step))
     in
-    finish ~optimal:true ~ratio:1.0 ~method_used:poly_method result
+    finish ~optimal:true ~ratio:1.0 ~method_used:Osr.method_name result
   | Hard cg ->
-    if Table.size m <= exact_size_limit then
+    if Table.size m <= Repair_srepair.S_exact.size_limit then
       let result =
         Metrics.with_span "s-exact" (fun () ->
             let dense = Cg.Incremental.materialize cg in
             let cover = Vc.exact ~budget (Cg.graph dense) in
             Cg.delete_cover dense m cover)
       in
-      finish ~optimal:true ~ratio:1.0 ~method_used:exact_method result
+      finish ~optimal:true ~ratio:1.0
+        ~method_used:Repair_srepair.S_exact.method_name result
     else
       let result =
         Metrics.with_span "s-approx" (fun () ->
@@ -470,7 +354,8 @@ let summary t =
             let cover = Vc.approx2 (Cg.graph dense) in
             Cg.delete_cover dense m cover)
       in
-      finish ~optimal:false ~ratio:2.0 ~method_used:approx_method result
+      finish ~optimal:false ~ratio:2.0
+        ~method_used:Repair_srepair.S_approx.method_name result
 
 type stats = {
   ticks : int;

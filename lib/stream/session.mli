@@ -1,18 +1,21 @@
 (** A delta-driven repair maintainer (DESIGN §16).
 
-    [create d base] classifies Δ once: trivial, polynomial (the first
-    OptSRepair simplification fixes a partition attribute set — blocks
-    under it never interact, so locality is sound), or hard (no
-    decomposition exists; the conflict graph is maintained incrementally
-    instead). [tick] applies one {!Delta.t} at O(affected-group) cost:
-    inserts extend the store tip, deletes tombstone a position, and on
-    the polynomial side exactly the touched block is marked dirty —
+    [create d base] classifies Δ once: trivial, polynomial
+    ({!Repair_srepair.Opt_s_repair.step} finds the first simplification,
+    whose partition attribute set splits the table into blocks that
+    never interact, so locality is sound), or hard (no decomposition
+    exists; the conflict graph is maintained incrementally instead).
+    [tick] applies one {!Delta.t} at O(affected-group) cost: inserts
+    extend the store tip, deletes tombstone a position, and on the
+    polynomial side exactly the touched block is marked dirty —
     re-solved lazily at the next [summary], every clean block served
-    from the cache. [summary] recombines the block results (replaying
-    their captured metrics and budget steps in block order) into a
-    report that is byte-identical — result table, distance, method, and
-    integer metrics modulo the [stream.*] counters — to a from-scratch
-    driver run on {!materialized}.
+    from a cache keyed by the block's member ids. [summary] replays the
+    blocks' captured metrics and budget steps in block order and
+    recombines their repairs with {!Repair_srepair.Opt_s_repair.combine},
+    the function a batch run uses, into a report that is byte-identical
+    — result table, distance, method, and integer metrics modulo the
+    [stream.*] counters — to a from-scratch driver run on
+    {!materialized}.
 
     Metrics caveat: a block result captures its metrics when it is
     first solved (at some summary), so the identity contract requires
@@ -24,17 +27,6 @@ open Repair_relational
 open Repair_fd
 
 type t
-
-(** Duplicated from the driver ladder (lib/core sits above this
-    library); test_stream pins them to the driver's values. *)
-
-val exact_size_limit : int
-
-val poly_method : string
-
-val exact_method : string
-
-val approx_method : string
 
 val default_cache_capacity : int
 

@@ -161,7 +161,55 @@ let test_union_duplicate_id () =
   let t1 = Table.of_tuples small_schema [ Tuple.make (List.map Value.int [ 1; 2; 3 ]) ] in
   Alcotest.check_raises "duplicate id"
     (Invalid_argument "Table.union: identifier 1 in both") (fun () ->
-      ignore (Table.union t1 t1))
+      ignore (Table.union t1 t1));
+  let row id = (id, 1.0, Tuple.make (List.map Value.int [ id; 0; 0 ])) in
+  let tbl ids = Table.of_list small_schema (List.map row ids) in
+  Alcotest.check_raises "union_all: duplicate id across operands"
+    (Invalid_argument "Table.union: identifier 2 in both") (fun () ->
+      ignore
+        (Table.union_all small_schema [ tbl [ 1; 2 ]; tbl [ 3 ]; tbl [ 2 ] ]))
+
+(* Any split of a table into same-store views — some empty, one operand
+   when k = 1, in shuffled order — unions back to the table, and equals
+   the left fold of [union]. *)
+let prop_union_all_same_store =
+  qcheck ~count:300 "union_all of a same-store split is the table and the fold"
+    QCheck2.Gen.(
+      let* tbl = gen_table ~dom:3 ~max_size:12 ~weighted:true small_schema in
+      let* k = int_range 1 6 in
+      let* part = list_repeat (Table.size tbl) (int_range 0 (k - 1)) in
+      let* order = shuffle_l (List.init k Fun.id) in
+      return (tbl, part, order))
+    (fun (tbl, part, order) ->
+      let part_of = Hashtbl.create 16 in
+      List.iter2 (Hashtbl.replace part_of) (Table.ids tbl) part;
+      let ops =
+        List.map
+          (fun j -> Table.select tbl (fun i _ -> Hashtbl.find part_of i = j))
+          order
+      in
+      let got = Table.union_all small_schema ops in
+      Table.equal got tbl
+      && Table.equal got
+           (List.fold_left Table.union (Table.empty small_schema) ops))
+
+let prop_union_all_cross_store =
+  qcheck ~count:300 "cross-store union_all agrees with the fold"
+    QCheck2.Gen.(
+      list_size (int_range 0 5)
+        (gen_table ~dom:4 ~max_size:6 ~weighted:true small_schema))
+    (fun tables ->
+      (* give every table its own id range so the id sets are disjoint *)
+      let ops =
+        List.mapi
+          (fun k t ->
+            Table.fold (fun i tp w acc -> (i + (100 * k), w, tp) :: acc) t []
+            |> Table.of_list small_schema)
+          tables
+      in
+      Table.equal
+        (Table.union_all small_schema ops)
+        (List.fold_left Table.union (Table.empty small_schema) ops))
 
 (* ---------- construction-path equivalence ---------- *)
 
@@ -275,6 +323,8 @@ let () =
           prop_restrict_remove_model;
           prop_union_same_store;
           prop_union_cross_store;
+          prop_union_all_same_store;
+          prop_union_all_cross_store;
           Alcotest.test_case "union duplicate id" `Quick
             test_union_duplicate_id ] );
       ( "construction paths",

@@ -799,7 +799,9 @@ let test_json_errors () =
       match Json.of_string text with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "accepted malformed input %S" text)
-    [ ""; "{"; "[1,]"; "{\"a\" 1}"; "tru"; "1 2"; "\"unterminated" ]
+    [ ""; "{"; "[1,]"; "{\"a\" 1}"; "tru"; "1 2"; "\"unterminated";
+      (* a \u escape takes exactly four hex digits *)
+      "\"\\u1_23\""; "\"\\u12_3\"" ]
 
 (* \uXXXX decoding: surrogate pairs must combine into one astral-plane
    scalar (proper UTF-8, not CESU-8), and lone halves are malformed. *)

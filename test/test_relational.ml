@@ -291,6 +291,32 @@ let test_jsonl_input_variants () =
     (Tuple.get (Table.tuple t 2) 1);
   Alcotest.(check bool) "unit weights" true (Table.is_unweighted t)
 
+(* \uXXXX escapes: exactly four hex digits, surrogate pairs combine into
+   one astral-plane scalar (UTF-8, not CESU-8), and lone halves are
+   line-numbered parse errors. *)
+let test_jsonl_unicode_escapes () =
+  let module E = Repair_runtime.Repair_error in
+  let t =
+    Jsonl_io.parse_string ~name:"R"
+      "{\"A\": \"\\ud83d\\ude00\"}\n{\"A\": \"x\\uD834\\uDD1Ey\\u00e9\"}\n"
+  in
+  Alcotest.check value "surrogate pair" (Value.str "\xf0\x9f\x98\x80")
+    (Tuple.get (Table.tuple t 1) 0);
+  Alcotest.check value "pair between BMP text"
+    (Value.str "x\xf0\x9d\x84\x9ey\xc3\xa9")
+    (Tuple.get (Table.tuple t 2) 0);
+  List.iter
+    (fun escaped ->
+      match
+        Jsonl_io.parse_result ~name:"R"
+          (Printf.sprintf "{\"A\": \"ok\"}\n{\"A\": \"%s\"}" escaped)
+      with
+      | Error (E.Parse { line = Some 2; _ }) -> ()
+      | _ -> Alcotest.failf "%s must be a Parse error at line 2" escaped)
+    [ "\\u1_23"; "\\u12_3"; "\\ud83d" (* lone high *);
+      "\\ude00" (* lone low *); "\\ud83d\\ud83d" (* high, high *);
+      "\\ud83dx" (* high, plain char *); "\\ud83d\\u00e9" (* high, BMP *) ]
+
 let test_jsonl_errors () =
   let module E = Repair_runtime.Repair_error in
   let fails s =
@@ -507,6 +533,8 @@ let () =
       ( "jsonl",
         [ Alcotest.test_case "roundtrip" `Quick test_jsonl_roundtrip;
           Alcotest.test_case "escapes" `Quick test_jsonl_strings_and_escapes;
+          Alcotest.test_case "unicode escapes" `Quick
+            test_jsonl_unicode_escapes;
           Alcotest.test_case "input variants" `Quick test_jsonl_input_variants;
           Alcotest.test_case "errors" `Quick test_jsonl_errors;
           Alcotest.test_case "fractional weight" `Quick test_jsonl_fractional_weight;

@@ -12,6 +12,7 @@ module R = Repair_core.Repair
 module Ss = R.Stream.Session
 module Delta = R.Stream.Delta
 module Driver = R.Driver
+module Srepair = R.Srepair
 module Pool = Repair_par.Pool
 module Metrics = Repair_obs.Metrics
 module W = Repair_workload
@@ -203,10 +204,10 @@ let test_block_cache_staleness () =
 
 (* ---------- driver-ladder parity ------------------------------------ *)
 
-(* Session duplicates the driver's Auto-ladder constants (it sits below
-   lib/core). Pin them behaviorally: on either side of the session's
-   exact-size limit, a hard instance must report the same method the
-   cold driver picks, and the polynomial method string must match too. *)
+(* Session and driver share the Auto-ladder constants of lib/srepair.
+   Pin them behaviorally: on either side of the exact-size limit, a hard
+   instance must report the same method the cold driver picks, and the
+   polynomial method string must match too. *)
 let test_ladder_parity () =
   let schema = W.Datasets.r3_schema in
   let hard = W.Datasets.delta_a_to_b_to_c in
@@ -216,33 +217,33 @@ let test_ladder_parity () =
      tiny for the test to terminate; the ladder picks its rung on table
      size alone. *)
   let rows k = List.init k (fun i -> (i + 1, 1.0, mk3 i i i)) in
-  let at_limit = Table.of_list schema (rows Ss.exact_size_limit) in
+  let at_limit = Table.of_list schema (rows Srepair.S_exact.size_limit) in
   let session = Ss.create hard at_limit in
   let s = Ss.summary session in
-  Alcotest.(check string) "exact method at the size limit" Ss.exact_method
-    s.Ss.method_used;
+  Alcotest.(check string) "exact method at the size limit"
+    Srepair.S_exact.method_name s.Ss.method_used;
   Alcotest.(check bool) "cold run agrees at the limit" true
     (summary_matches_cold s (Driver.s_repair_result hard at_limit));
   Ss.tick session
     (Delta.Insert
        {
-         id = Some (Ss.exact_size_limit + 1);
+         id = Some (Srepair.S_exact.size_limit + 1);
          weight = 1.0;
          values = [ Value.int 0; Value.int 1; Value.int 0 ];
        });
   let s = Ss.summary session in
   Alcotest.(check string) "approx method one row past the limit"
-    Ss.approx_method s.Ss.method_used;
+    Srepair.S_approx.method_name s.Ss.method_used;
   Alcotest.(check bool) "cold run agrees past the limit" true
     (summary_matches_cold s
        (Driver.s_repair_result hard (Ss.materialized session)));
   let chain = Table.of_list schema (rows 8) in
   let poly = Ss.summary (Ss.create (Fd_set.parse "A -> B") chain) in
-  Alcotest.(check string) "polynomial method string" Ss.poly_method
-    poly.Ss.method_used;
+  Alcotest.(check string) "polynomial method string"
+    Srepair.Opt_s_repair.method_name poly.Ss.method_used;
   Alcotest.(check bool) "driver reports the same polynomial method" true
     (match Driver.s_repair_result (Fd_set.parse "A -> B") chain with
-    | Ok c -> c.Driver.method_used = Ss.poly_method
+    | Ok c -> c.Driver.method_used = Srepair.Opt_s_repair.method_name
     | Error _ -> false)
 
 (* ---------- rejected ticks leave the session unchanged --------------- *)
