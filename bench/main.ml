@@ -1295,6 +1295,55 @@ let e24 () =
   else
     check "streaming is >=100x cheaper per update" (speedup >= 100.0)
 
+(* ----------------------------------------------------------------- E25 *)
+
+(* The layers of a CLI repair, end to end; for now the CSV IO layers.
+   Office tables (the office FDs, domain 1000, noise 0.05) of 10k and
+   100k rows are generated in process, rendered with [Csv_io.to_string]
+   and read back with [Csv_io.parse_string]. Rendering the table read
+   back must give the same text, and from 10k to 100k rows (10× the
+   data) each time may grow at most 20×. Not in the smoke subset. *)
+let e25 () =
+  section "E25" "End-to-end layers — CSV load and render";
+  let schema = Schema.make "T" [ "facility"; "room"; "city"; "floor" ] in
+  let d = Fd_set.parse "facility -> city; facility room -> floor" in
+  let time f =
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    (r, (Unix.gettimeofday () -. t0) *. 1000.0)
+  in
+  let times = Hashtbl.create 4 in
+  List.iter
+    (fun n ->
+      let tbl =
+        Gen_table.dirty (Rng.make n) schema d
+          { Gen_table.default with n; noise = 0.05; domain_size = 1000 }
+      in
+      let text, render_ms = time (fun () -> Csv_io.to_string tbl) in
+      let parsed, load_ms = time (fun () -> Csv_io.parse_string ~name:"T" text) in
+      check
+        (Printf.sprintf "n=%d: to_string (parse_string s) = s" n)
+        (String.equal (Csv_io.to_string parsed) text);
+      let mb = float_of_int (String.length text) /. 1048576.0 in
+      let mbps ms = mb /. (ms /. 1000.0) in
+      List.iter
+        (fun (layer, ms) ->
+          Hashtbl.replace times (layer, n) ms;
+          record ~n ~solver:(Printf.sprintf "%s/n=%d" layer n) ~wall_ms:ms ();
+          row "  %-10s n=%-7d %5.2f MB %9.2f ms %7.1f MB/s@." layer n mb ms
+            (mbps ms))
+        [ ("csv-load", load_ms); ("csv-render", render_ms) ])
+    [ 10_000; 100_000 ];
+  List.iter
+    (fun layer ->
+      let growth =
+        Hashtbl.find times (layer, 100_000) /. Hashtbl.find times (layer, 10_000)
+      in
+      row "  %s 100k/10k time ratio (linear = 10x): %.1fx@." layer growth;
+      check (Printf.sprintf "%s 100k/10k time ratio is at most 20x" layer)
+        (growth <= 20.0))
+    [ "csv-load"; "csv-render" ]
+
 (* ------------------------------------------------------------- runner *)
 
 let experiments =
@@ -1302,7 +1351,7 @@ let experiments =
     ("E7", e7); ("E8-E9", e8_e9); ("E10", e10); ("E11", e11); ("E12", e12);
     ("E13", e13); ("E14", e14); ("E15", e15); ("E16", e16); ("E17", e17);
     ("E18", e18); ("E19", e19); ("E20", e20); ("E21", e21); ("E22", e22);
-    ("E23", e23); ("E24", e24) ]
+    ("E23", e23); ("E24", e24); ("E25", e25) ]
 
 (* The --smoke subset: seconds-scale experiments that still cover both
    repair flavours, exact baselines, and the record-emission path. *)

@@ -86,6 +86,24 @@ for case in "t.csv|A -> B; B -> C" "big.csv|A -> B; B -> C" \
   done
 done
 
+# CSV IO identity: under a trivial FD every row is kept, so s-repair and
+# u-repair must write their input back byte for byte — on a generated,
+# weighted 100k-row office table, and on a hand-written table with a
+# quoted comma, doubled quotes, a quoted newline and weights 0.5 and 2.
+dune exec bin/repair_cli.exe -- generate -f "$office_fds" \
+  -a "facility room city floor" --weighted \
+  --size 100000 --domain 1000 --noise 0.05 --seed 104 -o "$tdir/io.csv"
+printf '#id,#weight,A,B\n1,0.5,"a,b","say ""hi"""\n2,2,"two\nlines",x\n' \
+  > "$tdir/hand.csv"
+for case in "io.csv|facility -> facility" "hand.csv|A -> A"; do
+  input=${case%%|*} fds=${case#*|}
+  for sub in s-repair u-repair; do
+    dune exec bin/repair_cli.exe -- "$sub" -f "$fds" "$tdir/$input" \
+      -o "$tdir/io.out"
+    cmp "$tdir/$input" "$tdir/io.out"
+  done
+done
+
 # Journal format upgrade (DESIGN §14): a legacy plain-JSONL journal
 # written before framing must resume cleanly — the committed job
 # replayed, not re-executed, appends staying legacy — and damage in a

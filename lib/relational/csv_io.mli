@@ -2,10 +2,24 @@
 
     The format is: a header row of attribute names, then one row per tuple.
     Two optional reserved columns are recognized in the header: [#id] (tuple
-    identifier, integer) and [#weight] (positive float). When absent, ids
-    are assigned 1..n and weights default to 1. Fields containing commas,
-    quotes or newlines are double-quoted on output; quoted fields are
-    understood on input. Values are parsed with {!Value.of_string}.
+    identifier, integer) and [#weight] (positive, finite float). When
+    absent, ids are assigned 1..n and weights default to 1. Values are
+    parsed with {!Value.of_string}.
+
+    The dialect, exactly:
+    - a record ends at a newline outside quotes; a CR outside quotes is
+      dropped, so CRLF line ends read like LF;
+    - a record of blanks only (spaces, tabs, form feeds, CRs) is skipped
+      and not counted as a line, so error line numbers count the
+      records read;
+    - a quote opens a quoted run anywhere in a field, not only at its
+      start; inside the run, commas and newlines are kept and a doubled
+      quote is a literal quote (CRs between the two quotes lie outside
+      the run and are dropped);
+    - a header names [#id] and [#weight] at most once each; a repeated
+      one makes every row an arity error;
+    - on output, fields containing a comma, a quote, a newline or a CR
+      are double-quoted, with quotes doubled.
 
     Malformed input is reported as a structured
     {!Repair_runtime.Repair_error.t} carrying the file (or pseudo-source)

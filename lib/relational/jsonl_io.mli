@@ -2,7 +2,7 @@
 
     One JSON object per line; attribute names are keys. Two reserved keys
     carry the repair metadata: [#id] (integer identifier) and [#weight]
-    (positive number), both optional on input (ids then run 1..n, weights
+    (positive, finite number), both optional on input (ids then run 1..n, weights
     default to 1). Values map as: JSON numbers to {!Value.Int} (integers
     only), strings to {!Value.Str}, and the string forms understood by
     {!Value.of_string} apply. Nested arrays/objects, floats, booleans and

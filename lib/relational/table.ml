@@ -52,8 +52,12 @@ let new_store schema ~cap =
 
 let empty schema = { schema; store = new_store schema ~cap:0; len = 0; view = All }
 
+let check_weight what weight =
+  if not (weight > 0.0) then invalid_arg (what ^ ": weight must be positive");
+  if weight = Float.infinity then invalid_arg (what ^ ": weight must be finite")
+
 let check_row schema ?(what = "Table.add") weight tuple =
-  if weight <= 0.0 then invalid_arg (what ^ ": weight must be positive");
+  check_weight what weight;
   if Tuple.arity tuple <> Schema.arity schema then
     invalid_arg (what ^ ": tuple arity does not match schema")
 
@@ -233,8 +237,10 @@ module Builder = struct
     mutable b_weights : float array;
     mutable b_tuples : Tuple.t array;
     mutable b_n : int;
-    seen : (id, unit) Hashtbl.t;
-    mutable b_sorted : bool;
+    mutable seen : (id, unit) Hashtbl.t option;
+        (* [None] while every id has been above the previous one: the
+           ids are then distinct, and the set is only built, from
+           [b_ids], at the first id that is not. *)
   }
 
   let create ?(capacity = 16) schema =
@@ -244,31 +250,42 @@ module Builder = struct
       b_weights = Array.make (max capacity 1) 0.0;
       b_tuples = Array.make (max capacity 1) no_tuple;
       b_n = 0;
-      seen = Hashtbl.create (max capacity 16);
-      b_sorted = true;
+      seen = None;
     }
 
   let length b = b.b_n
 
+  (* The set of the ids added so far, built on first use. *)
+  let seen_set b =
+    match b.seen with
+    | Some seen -> seen
+    | None ->
+      let seen = Hashtbl.create (max (2 * b.b_n) 16) in
+      for k = 0 to b.b_n - 1 do
+        Hashtbl.add seen b.b_ids.(k) ()
+      done;
+      b.seen <- Some seen;
+      seen
+
   let add ?id ?(weight = 1.0) b tuple =
     check_row b.b_schema weight tuple;
+    let n = b.b_n in
     let i =
-      match id with
-      | Some i -> i
-      | None -> if b.b_n = 0 then 1 else b.b_ids.(b.b_n - 1) + 1
       (* [b_ids] is not sorted in general, so the implicit-id rule
          "one above the current maximum" needs the running maximum, not
-         the last id; [b_sorted] tells us when they coincide. *)
+         the last id; while [seen] is [None] they coincide. *)
+      match (id, b.seen) with
+      | Some i, _ -> i
+      | None, _ when n = 0 -> 1
+      | None, None -> b.b_ids.(n - 1) + 1
+      | None, Some _ -> Array.fold_left max min_int (Array.sub b.b_ids 0 n) + 1
     in
-    let i =
-      match id with
-      | Some _ -> i
-      | None when b.b_sorted -> i
-      | None -> Array.fold_left max min_int (Array.sub b.b_ids 0 b.b_n) + 1
-    in
-    if Hashtbl.mem b.seen i then
-      invalid_arg (Printf.sprintf "Table.add: duplicate identifier %d" i);
-    Hashtbl.add b.seen i ();
+    if Option.is_some b.seen || (n > 0 && i <= b.b_ids.(n - 1)) then begin
+      let seen = seen_set b in
+      if Hashtbl.mem seen i then
+        invalid_arg (Printf.sprintf "Table.add: duplicate identifier %d" i);
+      Hashtbl.add seen i ()
+    end;
     if b.b_n = Array.length b.b_ids then begin
       let cap' = 2 * b.b_n in
       let ids = Array.make cap' 0 in
@@ -281,7 +298,6 @@ module Builder = struct
       Array.blit b.b_tuples 0 ts 0 b.b_n;
       b.b_tuples <- ts
     end;
-    if b.b_n > 0 && i <= b.b_ids.(b.b_n - 1) then b.b_sorted <- false;
     b.b_ids.(b.b_n) <- i;
     b.b_weights.(b.b_n) <- weight;
     b.b_tuples.(b.b_n) <- tuple;
@@ -290,7 +306,7 @@ module Builder = struct
   let build b =
     let n = b.b_n in
     let order = Array.init n (fun k -> k) in
-    if not b.b_sorted then
+    if Option.is_some b.seen then
       Array.sort (fun k1 k2 -> compare b.b_ids.(k1) b.b_ids.(k2)) order;
     let store = new_store b.b_schema ~cap:(max n 1) in
     for k = 0 to n - 1 do
@@ -710,7 +726,7 @@ let map_weights tbl f =
   let st = t'.store in
   for k = 0 to st.len - 1 do
     let w = f st.ids.(k) st.weights.(k) in
-    if w <= 0.0 then invalid_arg "Table.map_weights: weight must be positive";
+    check_weight "Table.map_weights" w;
     st.weights.(k) <- w
   done;
   t'

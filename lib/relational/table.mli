@@ -1,7 +1,7 @@
 (** Tables: the paper's data model (Section 2.1).
 
     A table [T] over a schema maps each tuple identifier [i ∈ ids(T)] to a
-    tuple [T[i]] and a positive weight [w_T(i)]. Duplicate tuples (equal
+    tuple [T[i]] and a positive, finite weight [w_T(i)]. Duplicate tuples (equal
     tuples under distinct identifiers) are allowed. Tables are immutable;
     all operations are persistent.
 
@@ -26,7 +26,8 @@ val empty : Schema.t -> t
     to [1.0].
 
     @raise Invalid_argument if the id is already used, the weight is not
-    positive, or the tuple arity mismatches the schema. *)
+    positive and finite (NaN included), or the tuple arity mismatches
+    the schema. *)
 val add : ?id:id -> ?weight:float -> t -> Tuple.t -> t
 
 (** [of_list schema rows] builds a table from [(id, weight, tuple)] rows. *)
@@ -50,8 +51,9 @@ module Builder : sig
   val length : t -> int
 
   (** Same contract and error messages as {!Table.add}: omitted ids get
-      one above the current maximum, duplicate ids / non-positive
-      weights / arity mismatches raise [Invalid_argument]. *)
+      one above the current maximum, duplicate ids / weights that are
+      not positive and finite / arity mismatches raise
+      [Invalid_argument]. *)
   val add : ?id:id -> ?weight:float -> t -> Tuple.t -> unit
 
   (** Commit the accumulated rows. The builder must not be reused. *)
@@ -200,7 +202,8 @@ val map_tuples : t -> (id -> Tuple.t -> Tuple.t) -> t
 val set_tuple : t -> id -> Tuple.t -> t
 
 (** [map_weights tbl f] replaces each weight [w] by [f id w].
-    @raise Invalid_argument if some new weight is not positive. *)
+    @raise Invalid_argument if some new weight is not positive and
+    finite. *)
 val map_weights : t -> (id -> float -> float) -> t
 
 (** {1 Repair-related distances (Section 2.3)} *)

@@ -42,15 +42,16 @@ let rec hash = function
   | Triple (a, b, c) -> Hashtbl.hash (3, hash a, hash b, hash c)
   | Fresh i -> Hashtbl.hash (4, i)
 
-let rec pp ppf = function
-  | Unit -> Fmt.string ppf "⊙"
-  | Int i -> Fmt.int ppf i
-  | Str s -> Fmt.string ppf s
-  | Pair (a, b) -> Fmt.pf ppf "⟨%a,%a⟩" pp a pp b
-  | Triple (a, b, c) -> Fmt.pf ppf "⟨%a,%a,%a⟩" pp a pp b pp c
-  | Fresh i -> Fmt.pf ppf "$%d" i
+let rec to_string = function
+  | Unit -> "⊙"
+  | Int i -> string_of_int i
+  | Str s -> s
+  | Pair (a, b) -> "⟨" ^ to_string a ^ "," ^ to_string b ^ "⟩"
+  | Triple (a, b, c) ->
+    "⟨" ^ to_string a ^ "," ^ to_string b ^ "," ^ to_string c ^ "⟩"
+  | Fresh i -> "$" ^ string_of_int i
 
-let to_string v = Fmt.str "%a" pp v
+let pp ppf v = Fmt.string ppf (to_string v)
 
 let int i = Int i
 let str s = Str s
@@ -69,6 +70,28 @@ let of_string s =
         | Some i -> Fresh i
         | None -> Str s
       else Str s
+
+(* The decimal number in [s] from [i] to [stop], or -1 on a non-digit. *)
+let rec digits s stop i acc =
+  if i = stop then acc
+  else
+    let d = Char.code (String.unsafe_get s i) - 48 in
+    if d >= 0 && d <= 9 then digits s stop (i + 1) ((acc * 10) + d) else -1
+
+let of_substring s pos len =
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Value.of_substring";
+  (* Fast path: an optional '-' and 1-18 digits, too short to overflow,
+     read in place. *)
+  let stop = pos + len in
+  let neg = len > 0 && s.[pos] = '-' in
+  let start = if neg then pos + 1 else pos in
+  let n =
+    if stop - start >= 1 && stop - start <= 18 then digits s stop start 0
+    else -1
+  in
+  if n >= 0 then Int (if neg then -n else n)
+  else of_string (String.sub s pos len)
 
 module Supply = struct
   type value = t

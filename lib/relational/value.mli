@@ -37,6 +37,12 @@ val triple : t -> t -> t -> t
     of the form ["$n"] becomes [Fresh n], anything else becomes [Str]. *)
 val of_string : string -> t
 
+(** [of_substring s pos len] is [of_string (String.sub s pos len)]; a
+    plain decimal ([-]? then 1-18 digits) is read without copying.
+    @raise Invalid_argument if [pos] and [len] are not a valid range of
+    [s]. *)
+val of_substring : string -> int -> int -> t
+
 (** Stateful supplies of fresh constants, guaranteed not to collide with any
     value already present in a given collection (fresh constants are tagged
     with their own constructor, so they can only collide with other fresh

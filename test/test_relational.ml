@@ -37,6 +37,29 @@ let test_value_of_string () =
   Alcotest.check value "fresh" (Value.Fresh 5) (Value.of_string "$5");
   Alcotest.check value "dollar word" (Value.str "$x") (Value.of_string "$x")
 
+let test_value_of_substring () =
+  let check msg s pos len =
+    Alcotest.check value msg
+      (Value.of_string (String.sub s pos len))
+      (Value.of_substring s pos len)
+  in
+  check "plain int" "x,42,y" 2 2;
+  check "negative" "-3" 0 2;
+  check "18 digits" "123456789012345678" 0 18;
+  check "19 digits" "1234567890123456789" 0 19;
+  check "20 digits" "12345678901234567890" 0 20;
+  check "lone minus" "-" 0 1;
+  check "empty" "ab" 1 0;
+  check "blanks" " 7 " 0 3;
+  check "hex" "0x1F" 0 4;
+  check "underscore" "1_0" 0 3;
+  check "unit" "_|_" 0 3;
+  check "fresh" "$5," 0 2;
+  check "utf-8" "\xc3\xa9" 0 2;
+  Alcotest.check value "fast path" (Value.int (-7)) (Value.of_substring "a-7" 1 2);
+  Alcotest.check_raises "bad range" (Invalid_argument "Value.of_substring")
+    (fun () -> ignore (Value.of_substring "abc" 2 2))
+
 let test_value_pp_roundtrip () =
   Alcotest.(check string) "pp pair" "⟨1,a⟩"
     (Value.to_string (Value.pair (Value.int 1) (Value.str "a")));
@@ -153,6 +176,55 @@ let test_table_add_checks () =
     (Invalid_argument "Table.add: tuple arity does not match schema")
     (fun () -> ignore (Table.add (tbl3 ()) (mk [ 1 ])))
 
+(* NaN passes a [weight <= 0.0] test and infinity is positive: both
+   must be refused, by [add] and by the Builder alike. *)
+let test_table_weight_finite () =
+  let b = Table.Builder.create schema3 in
+  List.iter
+    (fun (w, msg) ->
+      Alcotest.check_raises (Printf.sprintf "add %g" w)
+        (Invalid_argument ("Table.add: " ^ msg)) (fun () ->
+          ignore (Table.add ~weight:w (tbl3 ()) (mk [ 9; 9; 9 ])));
+      Alcotest.check_raises (Printf.sprintf "Builder.add %g" w)
+        (Invalid_argument ("Table.add: " ^ msg)) (fun () ->
+          Table.Builder.add ~weight:w b (mk [ 9; 9; 9 ])))
+    [ (Float.nan, "weight must be positive");
+      (Float.neg_infinity, "weight must be positive");
+      (-0.0, "weight must be positive");
+      (Float.infinity, "weight must be finite") ];
+  Alcotest.(check int) "builder untouched" 0 (Table.Builder.length b);
+  check_float "largest finite weight accepted" Float.max_float
+    (Table.weight (Table.add ~id:9 ~weight:Float.max_float (tbl3 ()) (mk [ 9; 9; 9 ])) 9)
+
+(* The Builder builds its duplicate-id set only once an id fails to
+   increase; adding rows one by one must still give [Table.add]'s
+   table, or its error at the same row. *)
+let prop_builder_ids_like_add =
+  qcheck ~count:500
+    "Builder.add = folding Table.add, duplicate and implicit ids included"
+    QCheck2.Gen.(list_size (int_range 0 10) (opt (int_range 1 8)))
+    (fun ids ->
+      let row = mk [ 1; 2; 3 ] in
+      let folded =
+        try
+          Ok
+            (List.fold_left
+               (fun tbl id -> Table.add ?id tbl row)
+               (Table.empty schema3) ids)
+        with Invalid_argument m -> Error m
+      in
+      let built =
+        let b = Table.Builder.create ~capacity:1 schema3 in
+        try
+          List.iter (fun id -> Table.Builder.add ?id b row) ids;
+          Ok (Table.Builder.build b)
+        with Invalid_argument m -> Error m
+      in
+      match (folded, built) with
+      | Ok t1, Ok t2 -> Table.equal t1 t2
+      | Error m1, Error m2 -> m1 = m2
+      | _ -> false)
+
 let test_table_fresh_ids () =
   let t = Table.add (tbl3 ()) (mk [ 7; 7; 7 ]) in
   Alcotest.(check (list int)) "next id is max+1" [ 1; 2; 3; 4; 5 ] (Table.ids t)
@@ -218,7 +290,13 @@ let test_table_map_weights () =
   check_float "doubled" 9.0 (Table.total_weight t);
   Alcotest.check_raises "rejects nonpositive"
     (Invalid_argument "Table.map_weights: weight must be positive") (fun () ->
-      ignore (Table.map_weights t (fun _ _ -> 0.0)))
+      ignore (Table.map_weights t (fun _ _ -> 0.0)));
+  Alcotest.check_raises "rejects nan"
+    (Invalid_argument "Table.map_weights: weight must be positive") (fun () ->
+      ignore (Table.map_weights t (fun _ _ -> Float.nan)));
+  Alcotest.check_raises "rejects infinity"
+    (Invalid_argument "Table.map_weights: weight must be finite") (fun () ->
+      ignore (Table.map_weights t (fun _ _ -> Float.infinity)))
 
 (* ---------- CSV ---------- *)
 
@@ -236,15 +314,20 @@ let test_csv_no_meta () =
   Alcotest.(check bool) "unit weights" true (Table.is_unweighted t')
 
 let test_csv_quoting () =
-  let s = Schema.make "R" [ "A"; "B" ] in
+  let s = Schema.make "R" [ "A"; "B"; "C" ] in
   let t =
     Table.of_tuples s
-      [ Tuple.make [ Value.str "a,b"; Value.str "say \"hi\"" ] ]
+      [ Tuple.make [ Value.str "a,b"; Value.str "say \"hi\""; Value.str "x\ry" ] ]
   in
-  let t' = Csv_io.parse_string ~name:"R" (Csv_io.to_string t) in
+  let text = Csv_io.to_string t in
+  Alcotest.(check string) "CR quoted"
+    "#id,#weight,A,B,C\n1,1,\"a,b\",\"say \"\"hi\"\"\",\"x\ry\"\n" text;
+  let t' = Csv_io.parse_string ~name:"R" text in
   Alcotest.check value "comma survives" (Value.str "a,b") (Tuple.get (Table.tuple t' 1) 0);
   Alcotest.check value "quotes survive" (Value.str "say \"hi\"")
-    (Tuple.get (Table.tuple t' 1) 1)
+    (Tuple.get (Table.tuple t' 1) 1);
+  Alcotest.check value "CR survives" (Value.str "x\ry")
+    (Tuple.get (Table.tuple t' 1) 2)
 
 let test_csv_errors () =
   let module E = Repair_runtime.Repair_error in
@@ -258,6 +341,84 @@ let test_csv_errors () =
   | Error (E.Parse { source; _ }) ->
     Alcotest.(check string) "default source label" "<csv>" source
   | _ -> Alcotest.fail "parse_result must return a Parse error")
+
+(* A NaN or infinite weight is a line-numbered parse error in both
+   formats: it used to pass the [weight <= 0.0] check. *)
+let test_nonfinite_weights () =
+  let module E = Repair_runtime.Repair_error in
+  let csv w = Printf.sprintf "#id,#weight,A,B\n1,%s,1,1\n2,1,1,2\n3,2,1,3\n" w in
+  let jsonl w =
+    Printf.sprintf
+      "{\"#id\": 1, \"#weight\": \"%s\", \"A\": 1, \"B\": 1}\n\
+       {\"#id\": 2, \"#weight\": 1, \"A\": 1, \"B\": 2}\n" w
+  in
+  List.iter
+    (fun (w, detail) ->
+      let expect fmt ~line r =
+        match r with
+        | Error (E.Parse { line = l; detail = d; _ })
+          when l = Some line && d = detail -> ()
+        | _ ->
+          Alcotest.failf "%s weight %s: expected a Parse error at line %d" fmt
+            w line
+      in
+      expect "csv" ~line:2 (Csv_io.parse_result ~name:"R" (csv w));
+      expect "jsonl" ~line:1 (Jsonl_io.parse_result ~name:"R" (jsonl w)))
+    [ ("nan", "Table.add: weight must be positive");
+      ("-inf", "Table.add: weight must be positive");
+      ("inf", "Table.add: weight must be finite");
+      ("infinity", "Table.add: weight must be finite") ]
+
+(* ---------- the seed reader and writer as oracles ---------- *)
+
+let same_parse a b =
+  match (a, b) with
+  | Ok t1, Ok t2 -> Table.equal t1 t2
+  | Error e1, Error e2 -> e1 = e2
+  | _ -> false
+
+let parses_like_seed s =
+  same_parse (Csv_io.parse_result ~name:"R" s) (Seed_csv.parse_result ~name:"R" s)
+
+(* Inputs that random text rarely reaches, each checked against the
+   oracle and against the value it must give. *)
+let test_csv_dialect () =
+  let module E = Repair_runtime.Repair_error in
+  let cell s = Tuple.get (Table.tuple (Csv_io.parse_string ~name:"R" s) 1) 0 in
+  let error s =
+    match Csv_io.parse_result ~name:"R" s with
+    | Error (E.Parse { line; detail; _ }) -> (line, detail)
+    | _ -> Alcotest.failf "%S must be a Parse error" s
+  in
+  let cases =
+    [ "A\n\"a\"\r\"b\"\n"; "A,B\n1,2\n \t\012\r\n1\n"; "A,B\n\"x\ny\",2\n3\n";
+      "#id,#id,A\n1,2,3\n"; "A\n\"x\"\"y\"\n"; "A\nx\"y,z\"w\n"; "\n\r\n  \nA\n1\n";
+      "A,B\n1,\"x\n\n\n"; "A\r\n\"p\"\r\r\"q\"\r\n"; "#weight,A,#weight\n1,2,3\n" ]
+  in
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (Printf.sprintf "%S as the seed" s) true
+        (parses_like_seed s))
+    cases;
+  Alcotest.check value "quote, CR, quote is a literal quote" (Value.str "a\"b")
+    (cell "A\n\"a\"\r\"b\"\n");
+  Alcotest.check value "CRs between the quotes too" (Value.str "p\"q")
+    (cell "A\r\n\"p\"\r\r\"q\"\r\n");
+  Alcotest.check value "a quote opens a run mid-field" (Value.str "xy,zw")
+    (cell "A\nx\"y,z\"w\n");
+  Alcotest.check value "quoted newline" (Value.str "x\ny") (cell "A,B\n\"x\ny\",2\n");
+  Alcotest.(check (pair (option int) string)) "blank line not counted"
+    (Some 3, "row has 1 fields, expected 2")
+    (error "A,B\n1,2\n \t\012\r\n1\n");
+  Alcotest.(check (pair (option int) string)) "quoted newline is one line"
+    (Some 3, "row has 1 fields, expected 2")
+    (error "A,B\n\"x\ny\",2\n3\n");
+  Alcotest.(check (pair (option int) string)) "repeated #id header"
+    (Some 2, "Table.add: tuple arity does not match schema")
+    (error "#id,#id,A\n1,2,3\n");
+  Alcotest.(check (pair (option int) string)) "unterminated at its line"
+    (Some 2, "unterminated quoted field")
+    (error "A,B\n1,\"x\n\n\n")
 
 (* ---------- JSON lines ---------- *)
 
@@ -404,9 +565,123 @@ let gen_io_junk =
         [ string_size ~gen:printable (int_range 0 8);
           oneofl
             [ "\""; ","; "\n"; "{"; "}"; ":"; "\\"; "\\u12"; "\\uZZZZ";
-              "#id"; "#weight"; "A,B\n1,2\n"; "{\"A\": 1}\n"; "1.5"; "-" ] ]
+              "#id"; "#weight"; "A,B\n1,2\n"; "{\"A\": 1}\n"; "1.5"; "-";
+              "\r"; "\r\n"; "\n\n"; " \t \n"; "\012"; "\"\""; "#id,#id,A\n";
+              "#weight,A,#weight\n"; "#id,#weight,A\n1,2,3\n" ] ]
     in
     list_size (int_range 0 12) chunk |> map (String.concat ""))
+
+(* CSV-shaped text: a header, then rows that mostly have the right
+   width, over fields and line ends chosen to hit every rule of the
+   dialect. About a third of these parse. *)
+let gen_csv_text =
+  QCheck2.Gen.(
+    let name = frequencyl [ (6, "A"); (6, "B"); (4, "C"); (2, " D "); (2, "#id");
+                            (2, "#weight"); (1, "\"E\"") ] in
+    let field =
+      oneofl
+        [ "1"; "2"; "3"; "-3"; "007"; "0x1F"; "1_0"; "12345678901234567890";
+          "123456789012345678"; "nan"; "inf"; "0.5"; ""; " 7 "; "_|_"; "$3";
+          "x"; "\xc3\xa9"; "\"a,b\""; "\"x\"\"y\""; "\"q\"\r\"r\""; "\"m\nn\"";
+          "\"open"; "a\"b\"c"; "\r"; "\012"; "1\r"; " \t" ]
+    in
+    let eol = frequencyl [ (6, "\n"); (3, "\r\n"); (1, "\n \t\n"); (1, "\n\n");
+                           (1, "\n\012\r\n") ] in
+    let* ncols = int_range 1 4 in
+    let* header = list_repeat ncols name in
+    let row =
+      let* width = frequencyl [ (12, ncols); (1, ncols - 1); (1, ncols + 1) ] in
+      list_repeat (max 1 width) field |> map (String.concat ",")
+    in
+    let* rows = list_size (int_range 0 5) row in
+    let* eols = list_repeat (List.length rows + 1) eol in
+    let* last_eol = bool in
+    let lines = String.concat "," header :: rows in
+    let text = List.concat (List.map2 (fun l e -> [ l; e ]) lines eols) in
+    let n = if last_eol then List.length text else List.length text - 1 in
+    return (String.concat "" (List.filteri (fun i _ -> i < n) text)))
+
+let prop_csv_junk_like_seed =
+  qcheck ~count:3000 ~print:(fun s -> Printf.sprintf "%S" s)
+    "csv parse_result = seed parser on junk" gen_io_junk parses_like_seed
+
+let prop_csv_text_like_seed =
+  qcheck ~count:5000 ~print:(fun s -> Printf.sprintf "%S" s)
+    "csv parse_result = seed parser on CSV-shaped text" gen_csv_text
+    parses_like_seed
+
+(* Random tables over every value constructor, extreme ints and
+   non-unit weights, with header names that need quoting. *)
+let gen_value =
+  QCheck2.Gen.(
+    let text =
+      string_size (int_range 0 5)
+        ~gen:(oneofl [ 'a'; ','; '"'; '\n'; '\r'; ' '; '1'; '\xc3'; '\xa9' ])
+    in
+    let leaf =
+      oneof
+        [ return Value.Unit;
+          map Value.int (oneof [ int; oneofl [ min_int; max_int; 0; -1 ] ]);
+          map Value.str text;
+          map (fun i -> Value.Fresh i) (int_range 0 1000) ]
+    in
+    let rec tree depth =
+      if depth = 0 then leaf
+      else
+        frequency
+          [ (4, leaf);
+            (1, map2 Value.pair (tree (depth - 1)) (tree (depth - 1)));
+            (1, map3 Value.triple (tree (depth - 1)) (tree (depth - 1))
+                  (tree (depth - 1))) ]
+    in
+    tree 2)
+
+let gen_value_table =
+  QCheck2.Gen.(
+    let* attrs = oneofl [ [ "A" ]; [ "A"; "B"; "C" ]; [ "a,b"; "say \"x\""; "c\rd" ] ] in
+    let schema = Schema.make "R" attrs in
+    let* n = int_range 0 8 in
+    let* gaps = list_repeat n (int_range 1 3) in
+    let* weights = list_repeat n (oneofl [ 1.0; 1.0; 0.5; 2.0; 1e-7; 1e21; 3.25 ]) in
+    let* tuples = list_repeat n (list_repeat (List.length attrs) gen_value) in
+    let ids = List.mapi (fun k g -> (3 * k) + g) gaps (* increasing *) in
+    return
+      (Table.of_list schema
+         (List.map2 (fun (i, w) vs -> (i, w, Tuple.make vs))
+            (List.combine ids weights) tuples)))
+
+let prop_csv_render_like_seed =
+  qcheck ~count:1000 "csv to_string and Value.to_string = seed renderer"
+    QCheck2.Gen.(pair gen_value_table bool)
+    (fun (t, with_meta) ->
+      Csv_io.to_string ~with_meta t = Seed_csv.to_string ~with_meta t
+      && Table.fold
+           (fun _ tp _ ok ->
+             ok
+             && List.for_all
+                  (fun v ->
+                    let seed = Seed_value.to_string v in
+                    Value.to_string v = seed && Fmt.str "%a" Value.pp v = seed)
+                  (Tuple.values tp))
+           t true)
+
+(* Values with CRs inside: written quoted, they read back unchanged. *)
+let prop_csv_cr_roundtrip =
+  qcheck ~count:300 "csv roundtrips string tables with CRs"
+    QCheck2.Gen.(
+      let middle =
+        list_size (int_range 1 4) (oneofl [ "\r"; "\r\n"; "a"; ","; "\""; " "; "\n" ])
+        |> map (fun parts -> "\r" ^ String.concat "" parts)
+      in
+      let cell =
+        map2 (fun m c -> Value.str ("x" ^ m ^ String.make 1 c)) middle
+          (char_range 'a' 'z')
+      in
+      list_size (int_range 0 6) (triple cell cell (oneofl [ 1.0; 0.5; 2.0 ]))
+      |> map (fun rows ->
+             Table.of_list (Schema.make "R" [ "A"; "B" ])
+               (List.mapi (fun i (a, b, w) -> (i + 1, w, Tuple.make [ a; b ])) rows)))
+    (fun t -> Table.equal t (Csv_io.parse_string ~name:"R" (Csv_io.to_string t)))
 
 let prop_csv_errors_classified =
   qcheck ~count:500 ~print:(fun s -> Printf.sprintf "%S" s)
@@ -507,6 +782,7 @@ let () =
         [ Alcotest.test_case "ordering" `Quick test_value_order;
           Alcotest.test_case "hash" `Quick test_value_hash_consistent;
           Alcotest.test_case "of_string" `Quick test_value_of_string;
+          Alcotest.test_case "of_substring" `Quick test_value_of_substring;
           Alcotest.test_case "pp" `Quick test_value_pp_roundtrip;
           Alcotest.test_case "supply collision-free" `Quick test_supply_avoids_collisions;
           Alcotest.test_case "supply start" `Quick test_supply_fresh_start ] );
@@ -522,6 +798,8 @@ let () =
       ( "table",
         [ Alcotest.test_case "basics" `Quick test_table_basics;
           Alcotest.test_case "add checks" `Quick test_table_add_checks;
+          Alcotest.test_case "finite weights" `Quick test_table_weight_finite;
+          prop_builder_ids_like_add;
           Alcotest.test_case "fresh ids" `Quick test_table_fresh_ids;
           Alcotest.test_case "select/group" `Quick test_table_select_group;
           Alcotest.test_case "project distinct" `Quick test_table_project_distinct;
@@ -546,7 +824,13 @@ let () =
         [ Alcotest.test_case "roundtrip" `Quick test_csv_roundtrip;
           Alcotest.test_case "no meta" `Quick test_csv_no_meta;
           Alcotest.test_case "quoting" `Quick test_csv_quoting;
-          Alcotest.test_case "errors" `Quick test_csv_errors ] );
+          Alcotest.test_case "errors" `Quick test_csv_errors;
+          Alcotest.test_case "non-finite weights" `Quick test_nonfinite_weights;
+          Alcotest.test_case "dialect" `Quick test_csv_dialect;
+          prop_csv_junk_like_seed;
+          prop_csv_text_like_seed;
+          prop_csv_render_like_seed;
+          prop_csv_cr_roundtrip ] );
       ( "io-errors",
         [ Alcotest.test_case "classes" `Quick test_io_error_classes;
           Alcotest.test_case "files" `Quick test_io_error_files;
