@@ -139,11 +139,11 @@ let field_equals sc k t =
 
 let parse_string ?(file = "<csv>") ~name s =
   let sc = scanner s in
-  let next_record ~line =
+  let read_record ~line =
     try next_record sc
     with Unterminated -> parse_err ~file ~line "unterminated quoted field"
   in
-  if not (next_record ~line:1) then parse_err ~file "empty input";
+  if not (read_record ~line:1) then parse_err ~file "empty input";
   let cols = Array.init sc.n (fun k -> String.trim (field_string sc k)) in
   let ncols = Array.length cols in
   let last c =
@@ -172,7 +172,7 @@ let parse_string ?(file = "<csv>") ~name s =
   (* The parsed weight of the last distinct [#weight] text. *)
   let weight_text = ref "1" and weight = ref 1.0 in
   let rec rows line =
-    if next_record ~line then begin
+    if read_record ~line then begin
       if sc.n <> ncols then
         parse_err ~file ~line "row has %d fields, expected %d" sc.n ncols;
       let id =
