@@ -104,11 +104,10 @@ for case in "io.csv|facility -> facility" "hand.csv|A -> A"; do
   done
 done
 
-# Journal format upgrade (DESIGN §14): a legacy plain-JSONL journal
-# written before framing must resume cleanly — the committed job
-# replayed, not re-executed, appends staying legacy — and damage in a
-# legacy journal must still surface as the structured corruption error:
-# exit code 11, a quarantine sidecar, and a clean second resume.
+# Pre-framing journals (DESIGN §14): a plain-JSONL journal fails the
+# frame grammar at byte 0, so a resume refuses it as corruption — exit
+# code 11, every byte moved to the sidecar, the journal emptied — and a
+# second resume runs every job again, writing only framed records.
 printf '{"jobs": [{"id": "a", "input": "%s", "fds": "A -> B; B -> C"},
  {"id": "b", "input": "%s", "fds": "A -> B; B -> C"}]}\n' \
   "$tdir/t.csv" "$tdir/t.csv" > "$tdir/m.json"
@@ -116,21 +115,20 @@ printf '%s\n' '{"event":"begin","jobs":2}' \
   '{"event":"start","job":"a","attempt":1}' \
   '{"event":"commit","job":"a","attempt":1,"status":"ok","method":"m","distance":1.0}' \
   > "$tdir/legacy.jsonl"
-dune exec bin/repair_cli.exe -- batch "$tdir/m.json" \
-  --journal "$tdir/legacy.jsonl" --resume -o "$tdir/upg.json"
-grep -q '"replayed": 1' "$tdir/upg.json"
-[ "$(grep -c '^@' "$tdir/legacy.jsonl")" -eq 0 ]   # appends stayed legacy
-printf '%s\n' '{"event":"begin","jobs":2}' '{"event":"comm_DAMAGE"}' \
-  > "$tdir/legacy.jsonl"
+cp "$tdir/legacy.jsonl" "$tdir/legacy.orig"
 upg_code=0
 dune exec bin/repair_cli.exe -- batch "$tdir/m.json" \
   --journal "$tdir/legacy.jsonl" --resume -o /dev/null \
   2> "$tdir/upg.err" || upg_code=$?
 [ "$upg_code" -eq 11 ]
-grep -q 'corruption' "$tdir/upg.err"
-[ -f "$tdir/legacy.jsonl.corrupt" ]
+grep -q 'corruption at byte 0' "$tdir/upg.err"
+cmp "$tdir/legacy.orig" "$tdir/legacy.jsonl.corrupt"
+[ ! -s "$tdir/legacy.jsonl" ]
 dune exec bin/repair_cli.exe -- batch "$tdir/m.json" \
-  --journal "$tdir/legacy.jsonl" --resume -o /dev/null
+  --journal "$tdir/legacy.jsonl" --resume -o "$tdir/upg.json"
+grep -q '"replayed": 0' "$tdir/upg.json"
+[ -s "$tdir/legacy.jsonl" ]
+[ "$(grep -vc '^@' "$tdir/legacy.jsonl")" -eq 0 ]   # only framed records
 
 # Serving drill (DESIGN §12): daemon on a temp Unix socket; a pipelined
 # burst with poison requests and malformed lines — every line must be

@@ -123,17 +123,13 @@ let is_terminal = function
 
 (* ---------- framing ---------- *)
 
-type format = [ `Framed | `Legacy ]
-
 (* Framed record: ['@' len ':' crc8 ':' payload '\n'] where [len] is the
    decimal byte length of [payload], [crc8] is 8 lowercase hex digits of
    CRC-32(payload), and [payload] is the compact JSON rendering of the
    entry. The JSON encoder escapes control characters, so a payload
    never contains a raw newline: a record is torn iff its final '\n' is
    missing, and any {e complete} line that fails the frame grammar, the
-   checksum, or the JSON parse can only be corruption. Legacy journals
-   (plain JSONL, first byte '{') predate framing and are still read and
-   appended to. *)
+   checksum, or the JSON parse can only be corruption. *)
 let frame payload =
   Printf.sprintf "@%d:%s:%s\n" (String.length payload)
     (Crc32.to_hex (Crc32.string payload)) payload
@@ -142,29 +138,21 @@ let frame payload =
 
 module Io_fault = Repair_runtime.Io_fault
 
-type writer = {
-  fd : Unix.file_descr;
-  path : string;
-  format : format;
-  sync : bool;
-}
+type writer = { fd : Unix.file_descr; path : string; sync : bool }
 
 let io_err path fmt =
   Fmt.kstr
     (fun detail -> Repair_error.raise_error (Io { file = path; detail }))
     fmt
 
-let open_append ?(format = `Framed) ?(sync = true) path =
+let open_append ?(sync = true) path =
   match Unix.openfile path [ O_WRONLY; O_CREAT; O_APPEND ] 0o644 with
-  | fd -> { fd; path; format; sync }
+  | fd -> { fd; path; sync }
   | exception Unix.Unix_error (e, _, _) ->
     io_err path "%s" (Unix.error_message e)
 
 let append w entry =
-  let payload = Json.to_string (entry_to_json entry) in
-  let line =
-    match w.format with `Framed -> frame payload | `Legacy -> payload ^ "\n"
-  in
+  let line = frame (Json.to_string (entry_to_json entry)) in
   let bytes = Bytes.unsafe_of_string line in
   let n = Bytes.length bytes in
   (* Through the fault shim: short writes loop, EINTR retries; any other
@@ -198,7 +186,6 @@ type recovery = {
   entries : entry list;
   committed : (string * entry) list;
   truncated : bool;
-  format : format;
 }
 
 let corrupt_sidecar path = path ^ ".corrupt"
@@ -210,12 +197,7 @@ type verdict = Parsed of entry * int | Torn | Bad of string
 
 let is_digits s = s <> "" && String.for_all (function '0' .. '9' -> true | _ -> false) s
 
-let parse_json_line line =
-  match Result.bind (Json.of_string line) entry_of_json with
-  | Ok e -> Ok e
-  | Error m -> Error m
-
-let scan_framed text pos =
+let scan text pos =
   match String.index_from_opt text pos '\n' with
   | None -> Torn
   | Some nl -> (
@@ -243,27 +225,16 @@ let scan_framed text pos =
               if String.length payload <> rlen then bad "length mismatch"
               else if Crc32.string payload <> crc then bad "checksum mismatch"
               else (
-                match parse_json_line payload with
+                match Result.bind (Json.of_string payload) entry_of_json with
                 | Ok e -> Parsed (e, nl + 1)
                 | Error m -> bad m)))
 
-let scan_legacy text pos =
-  match String.index_from_opt text pos '\n' with
-  | None -> Torn
-  | Some nl -> (
-    let line = String.sub text pos (nl - pos) in
-    match parse_json_line line with
-    | Ok e -> Parsed (e, nl + 1)
-    | Error m -> Bad m)
-
 let recover path =
   if not (Sys.file_exists path) then
-    { entries = []; committed = []; truncated = false; format = `Framed }
+    { entries = []; committed = []; truncated = false }
   else begin
     let text = Io_fault.read_file path in
     let len = String.length text in
-    let format = if len > 0 && text.[0] = '{' then `Legacy else `Framed in
-    let scan = match format with `Framed -> scan_framed | `Legacy -> scan_legacy in
     (* Walk record by record, remembering the byte offset just past the
        last terminal record: that is the committed prefix. Stop at the
        first torn or bad record. *)
@@ -313,5 +284,5 @@ let recover path =
             | Begin _ | Start _ | Retry _ -> None)
           entries
       in
-      { entries; committed; truncated; format }
+      { entries; committed; truncated }
   end

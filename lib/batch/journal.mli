@@ -8,10 +8,10 @@
     decimal byte length of [payload], [crc] is the CRC-32 of [payload]
     as 8 lowercase hex digits, and [payload] is the compact JSON
     rendering of the entry (control characters escaped, so a payload
-    never contains a raw newline). Journals written before framing are
-    plain JSONL; the first byte of the file (['{'] vs ['@']) selects the
-    format on recovery, and appends continue in the journal's existing
-    format so a file is never mixed.
+    never contains a raw newline). Framing is the only format: a journal
+    written before framing (plain JSONL) fails the frame grammar at byte
+    0, so recovery refuses it as corruption (below) and never replays it
+    unchecked.
 
     {2 Record stream}
 
@@ -91,23 +91,21 @@ val is_terminal : entry -> bool
 
 (** {2 Appending} *)
 
-(** Journal file format: [`Framed] (checksummed, length-prefixed — the
-    format every new journal is written in) or [`Legacy] (plain JSONL,
-    read and appended for journals that predate framing). *)
-type format = [ `Framed | `Legacy ]
+(** [frame payload] is the framed record ['@' len ':' crc ':' payload
+    '\n'] of one rendered entry. *)
+val frame : string -> string
 
 type writer
 
-(** [open_append ?format ?sync path] opens (creating if needed) the
-    journal for appending. [format] defaults to [`Framed]; when resuming,
-    pass the {!recovery}'s [format] so the file stays single-format.
-    [sync] (default [true]) controls the per-append [fsync]; benchmarks
-    disable it to isolate framing cost — durable runs never do.
+(** [open_append ?sync path] opens (creating if needed) the journal for
+    appending. [sync] (default [true]) controls the per-append [fsync];
+    benchmarks disable it to isolate append cost — durable runs never
+    do.
     @raise Repair_runtime.Repair_error.Error ([Io]) on failure. *)
-val open_append : ?format:format -> ?sync:bool -> string -> writer
+val open_append : ?sync:bool -> string -> writer
 
-(** [append w e] writes [e] as one framed (or legacy JSON) line and
-    [fsync]s the file, so the record is durable before the call returns.
+(** [append w e] writes [e] as one framed line and [fsync]s the file,
+    so the record is durable before the call returns.
     All writes go through {!Repair_runtime.Io_fault}: short writes and
     [EINTR] (injected or genuine) are absorbed, other failures raise the
     classified [Io] error, and {!Repair_runtime.Io_fault.Crash}
@@ -124,9 +122,6 @@ type recovery = {
   committed : (string * entry) list;
       (** job id → its terminal [Commit]/[Quarantine] record *)
   truncated : bool;  (** an uncommitted tail was discarded *)
-  format : format;
-      (** detected file format; feed back into {!open_append} on resume.
-          Empty or missing journals report [`Framed]. *)
 }
 
 (** [corrupt_sidecar path] is the sidecar file ([path ^ ".corrupt"])

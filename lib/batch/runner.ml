@@ -85,9 +85,7 @@ let run ?pool ?(retries = 0) ?(backoff_ms = 0) ?(resume = false) ~exec
          });
   let recovery =
     if resume then Journal.recover journal
-    else
-      { Journal.entries = []; committed = []; truncated = false;
-        format = `Framed }
+    else { Journal.entries = []; committed = []; truncated = false }
   in
   (match recovery.entries with
   | Journal.Begin { jobs = n } :: _ when n <> List.length jobs ->
@@ -100,9 +98,7 @@ let run ?pool ?(retries = 0) ?(backoff_ms = 0) ?(resume = false) ~exec
                (List.length jobs);
          })
   | _ -> ());
-  (* Resume appends in the journal's detected format so the file stays
-     single-format and legacy resumes stay byte-compatible. *)
-  let w = Journal.open_append ~format:recovery.format journal in
+  let w = Journal.open_append journal in
   Fun.protect ~finally:(fun () -> Journal.close w)
   @@ fun () ->
   Metrics.with_span "batch"

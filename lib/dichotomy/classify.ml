@@ -44,11 +44,8 @@ let test_pair d x1 x2 =
 let certify d =
   let d = Fd_set.remove_trivial d in
   if Fd_set.is_empty d then invalid_arg "Classify.certify: trivial FD set";
-  if
-    Fd_set.common_lhs d <> None
-    || Fd_set.consensus_fd d <> None
-    || Fd_set.lhs_marriage d <> None
-  then invalid_arg "Classify.certify: a simplification still applies";
+  if Simplify.step d <> None then
+    invalid_arg "Classify.certify: a simplification still applies";
   let minima = Fd_set.local_minima d in
   let ordered_pairs =
     List.concat_map

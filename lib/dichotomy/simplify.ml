@@ -2,10 +2,23 @@ open Repair_relational
 open Repair_fd
 
 type step =
-  | Removed_trivial of Fd_set.t
   | Common_lhs of Attr_set.attribute
   | Consensus of Fd.t
   | Marriage of Attr_set.t * Attr_set.t
+
+let step d =
+  match Fd_set.common_lhs d with
+  | Some a -> Some (Common_lhs a)
+  | None -> (
+    match Fd_set.consensus_fd d with
+    | Some fd -> Some (Consensus fd)
+    | None ->
+      Fd_set.lhs_marriage d |> Option.map (fun (x1, x2) -> Marriage (x1, x2)))
+
+let partition = function
+  | Common_lhs a -> Attr_set.singleton a
+  | Consensus fd -> Fd.rhs fd
+  | Marriage (x1, x2) -> Attr_set.union x1 x2
 
 type trace = (step * Fd_set.t) list
 
@@ -14,37 +27,20 @@ type outcome = Tractable | Hard of Fd_set.t
 let run d0 =
   (* Δ − X followed by silent removal of the FDs this made trivial, as in
      the paper's displayed derivations (Example 3.5). *)
-  let shrink d x = Fd_set.remove_trivial (Fd_set.minus d x) in
   let rec loop d acc =
     if Fd_set.is_empty d then (Tractable, List.rev acc)
     else
-      match Fd_set.common_lhs d with
-      | Some a ->
-        let d' = shrink d (Attr_set.singleton a) in
-        loop d' ((Common_lhs a, d') :: acc)
-      | None -> (
-        match Fd_set.consensus_fd d with
-        | Some fd ->
-          let d' = shrink d (Fd.rhs fd) in
-          loop d' ((Consensus fd, d') :: acc)
-        | None -> (
-          match Fd_set.lhs_marriage d with
-          | Some (x1, x2) ->
-            let d' = shrink d (Attr_set.union x1 x2) in
-            loop d' ((Marriage (x1, x2), d') :: acc)
-          | None -> (Hard d, List.rev acc)))
+      match step d with
+      | None -> (Hard d, List.rev acc)
+      | Some s ->
+        let d' = Fd_set.remove_trivial (Fd_set.minus d (partition s)) in
+        loop d' ((s, d') :: acc)
   in
-  let trivial = Fd_set.filter Fd.is_trivial d0 in
-  if Fd_set.is_empty trivial then loop d0 []
-  else
-    let d1 = Fd_set.remove_trivial d0 in
-    let outcome, trace = loop d1 [] in
-    (outcome, (Removed_trivial trivial, d1) :: trace)
+  loop (Fd_set.remove_trivial d0) []
 
 let succeeds d = fst (run d) = Tractable
 
 let pp_step ppf = function
-  | Removed_trivial fds -> Fmt.pf ppf "(trivial: %a)" Fd_set.pp fds
   | Common_lhs a -> Fmt.pf ppf "(common lhs %s)" a
   | Consensus fd -> Fmt.pf ppf "(consensus %a)" Fd.pp fd
   | Marriage (x1, x2) ->
@@ -52,6 +48,10 @@ let pp_step ppf = function
 
 let pp_trace ppf (d0, trace) =
   Fmt.pf ppf "@[<v>%a@," Fd_set.pp d0;
+  let trivial = Fd_set.filter Fd.is_trivial d0 in
+  if not (Fd_set.is_empty trivial) then
+    Fmt.pf ppf "  (trivial: %a) ⇛ %a@," Fd_set.pp trivial Fd_set.pp
+      (Fd_set.remove_trivial d0);
   List.iter
     (fun (step, d) ->
       Fmt.pf ppf "  %a ⇛ %a@," pp_step step Fd_set.pp d)

@@ -108,14 +108,3 @@ let mci d =
 let kl_ratio d =
   let d = Fd_set.normalize d in
   if Fd_set.is_empty d then 1 else (mci d + 2) * ((2 * mfs d) - 1)
-
-let our_ratio d =
-  let d = Fd_set.normalize d in
-  let without_consensus =
-    Fd_set.remove_trivial (Fd_set.minus d (Fd_set.consensus_attrs d))
-  in
-  if Fd_set.is_empty without_consensus then 1
-  else
-    Fd_set.components without_consensus
-    |> List.filter (fun c -> not (Fd_set.is_trivial c))
-    |> List.fold_left (fun acc c -> max acc (2 * mlc c)) 1

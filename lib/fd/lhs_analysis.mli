@@ -41,9 +41,3 @@ val mci : Fd_set.t -> int
 (** [kl_ratio d] is the Kolahi–Lakshmanan approximation ratio
     [(MCI(Δ) + 2)·(2·MFS(Δ) − 1)] (Theorem 4.13). *)
 val kl_ratio : Fd_set.t -> int
-
-(** [our_ratio d] is the Theorem 4.12 ratio [2·mlc(Δ)], refined by
-    Theorem 4.1: the maximum of [2·mlc] over the attribute-disjoint
-    connected components of [d] (consensus attributes removed first, per
-    Theorem 4.3). Returns 1 for trivial sets. *)
-val our_ratio : Fd_set.t -> int

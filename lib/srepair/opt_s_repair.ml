@@ -2,33 +2,14 @@ open Repair_relational
 open Repair_fd
 open Repair_runtime
 module Metrics = Repair_obs.Metrics
+module Simplify = Repair_dichotomy.Simplify
 
 exception Stuck of Fd_set.t
 
 let method_name = "OptSRepair (Algorithm 1)"
 
-type step =
-  | Common_lhs of Attr_set.attribute
-  | Consensus of Fd.t
-  | Marriage of Attr_set.t * Attr_set.t
-
-let step delta =
-  match Fd_set.common_lhs delta with
-  | Some a -> Some (Common_lhs a)
-  | None -> (
-    match Fd_set.consensus_fd delta with
-    | Some fd -> Some (Consensus fd)
-    | None ->
-      Fd_set.lhs_marriage delta
-      |> Option.map (fun (x1, x2) -> Marriage (x1, x2)))
-
-let partition = function
-  | Common_lhs a -> Attr_set.singleton a
-  | Consensus fd -> Fd.rhs fd
-  | Marriage (x1, x2) -> Attr_set.union x1 x2
-
 let span_name = function
-  | Common_lhs _ -> "common-lhs"
+  | Simplify.Common_lhs _ -> "common-lhs"
   | Consensus _ -> "consensus"
   | Marriage _ -> "marriage"
 
@@ -75,7 +56,7 @@ let matching schema x1 x2 blocks =
    block repair wins (the first one on ties). *)
 let combine schema step blocks =
   match step with
-  | Common_lhs _ -> Table.union_all schema (List.map snd blocks)
+  | Simplify.Common_lhs _ -> Table.union_all schema (List.map snd blocks)
   | Consensus _ -> (
     match blocks with
     | [] -> Table.empty schema
@@ -86,50 +67,46 @@ let combine schema step blocks =
         first rest)
   | Marriage (x1, x2) -> matching schema x1 x2 blocks
 
-(* Success must depend on Δ only (Theorem 3.4): when a recursion branch
-   runs out of tuples, we still simulate the simplification chain so that a
-   hard Δ fails regardless of the data. *)
-let rec check_delta_only delta =
-  let delta = Fd_set.remove_trivial delta in
-  if not (Fd_set.is_empty delta) then
-    match step delta with
-    | Some s -> check_delta_only (Fd_set.minus delta (partition s))
-    | None -> raise (Stuck delta)
-
 (* The blocks are solved through [Table.fold_budgeted]: at the top level
    a wide [runner] solves them as independent tasks, and every block's
    own recursion runs on [Table.seq_runner] — the recursion fans out
-   once, at the first simplification. *)
-let rec solve runner budget delta tbl =
-  Budget.tick ~phase:"opt-s-repair" budget;
-  let delta = Fd_set.remove_trivial delta in
-  if Fd_set.is_empty delta then tbl
-  else if Table.is_empty tbl then begin
-    check_delta_only delta;
-    tbl
-  end
-  else
-    match step delta with
-    | None -> raise (Stuck delta)
-    | Some s ->
-      Metrics.with_span (span_name s) (fun () ->
-          let x = partition s in
-          let smaller = Fd_set.minus delta x in
-          Table.group_by ~runner tbl x
-          |> Table.fold_budgeted runner budget
-               (fun b (_, sub) ->
-                 (Table.View.tuple sub 0, solve Table.seq_runner b smaller sub))
-               (fun blocks block -> block :: blocks)
-               []
-          |> List.rev
-          |> combine (Table.schema tbl) s)
+   once, at the first simplification. An empty table still fails on a
+   hard Δ: success depends on Δ only (Theorem 3.4). *)
+let fold ~leaf ~combine ?(budget = Budget.unlimited ())
+    ?(runner = Table.seq_runner) d tbl =
+  let rec solve runner budget delta tbl =
+    Budget.tick ~phase:"opt-s-repair" budget;
+    let delta = Fd_set.remove_trivial delta in
+    if Fd_set.is_empty delta then leaf tbl
+    else if Table.is_empty tbl then (
+      match Simplify.run delta with
+      | Simplify.Hard stuck, _ -> raise (Stuck stuck)
+      | Simplify.Tractable, _ -> leaf tbl)
+    else
+      match Simplify.step delta with
+      | None -> raise (Stuck delta)
+      | Some s ->
+        Metrics.with_span (span_name s) (fun () ->
+            let x = Simplify.partition s in
+            let smaller = Fd_set.minus delta x in
+            Table.group_by ~runner tbl x
+            |> Table.fold_budgeted runner budget
+                 (fun b (_, sub) ->
+                   ( Table.View.tuple sub 0,
+                     solve Table.seq_runner b smaller sub ))
+                 (fun blocks block -> block :: blocks)
+                 []
+            |> List.rev
+            |> combine (Table.schema tbl) s)
+  in
+  solve runner budget d tbl
 
-let solve_block ?(budget = Budget.unlimited ()) d tbl =
-  solve Table.seq_runner budget d tbl
+let solve_block ?budget d tbl = fold ~leaf:Fun.id ~combine ?budget d tbl
 
-let run ?(budget = Budget.unlimited ()) ?(runner = Table.seq_runner) d tbl =
+let run ?budget ?runner d tbl =
   match
-    Metrics.with_span "opt-s-repair" (fun () -> solve runner budget d tbl)
+    Metrics.with_span "opt-s-repair" (fun () ->
+        fold ~leaf:Fun.id ~combine ?budget ?runner d tbl)
   with
   | s -> Ok s
   | exception Stuck stuck -> Error stuck

@@ -1,8 +1,9 @@
 (** Algorithm 1 ([OptSRepair]).
 
-    The algorithm repeatedly simplifies (Δ, T). Each {!step} partitions
-    the table on an attribute set X, solves every block under Δ − X, and
-    combines the block repairs:
+    The algorithm repeatedly simplifies (Δ, T). Each step, chosen by
+    {!Repair_dichotomy.Simplify.step}, partitions the table on the
+    attribute set X of {!Repair_dichotomy.Simplify.partition}, solves
+    every block under Δ − X, and combines the block repairs:
 
     - {e common lhs} ([CommonLHSRep], Subroutine 1): some attribute [A]
       occurs in every lhs; X = [A], and the result is the union of the
@@ -19,10 +20,11 @@
     the result is an optimal S-repair (Theorem 3.2), and the run takes
     polynomial time even under combined complexity.
 
-    {!step}, {!partition}, {!span_name} and {!combine} are the one
-    definition of a simplification step: {!run} recurses on them, and
-    streaming maintenance (DESIGN §16) applies them to cached block
-    repairs. *)
+    {!fold} is the one recursion of the algorithm: {!run} and
+    {!solve_block} are that fold with {!combine}, and
+    [Repair_enumerate.Count] folds (weight, count) pairs over it.
+    Streaming maintenance (DESIGN §16) applies {!span_name} and
+    {!combine} to cached block repairs. *)
 
 open Repair_relational
 open Repair_fd
@@ -30,23 +32,9 @@ open Repair_fd
 (** The method name the driver reports for a run of {!run}. *)
 val method_name : string
 
-(** One simplification step of Algorithm 1. *)
-type step =
-  | Common_lhs of Attr_set.attribute  (** Subroutine 1 *)
-  | Consensus of Fd.t  (** Subroutine 2: the consensus FD [∅ → X] *)
-  | Marriage of Attr_set.t * Attr_set.t  (** Subroutine 3: [(X1, X2)] *)
-
-(** [step d] is the step that applies to a nontrivial [d]: common lhs
-    first, then consensus, then lhs marriage. [None] is the hard side. *)
-val step : Fd_set.t -> step option
-
-(** [partition s] is the attribute set X the step partitions on; the
-    blocks are solved under Δ − X. *)
-val partition : step -> Attr_set.t
-
 (** [span_name s] is the metrics span a step runs under:
     ["common-lhs"], ["consensus"] or ["marriage"]. *)
-val span_name : step -> string
+val span_name : Repair_dichotomy.Simplify.step -> string
 
 (** [combine schema s blocks] combines the solved blocks of one step,
     given in group order (sorted on their X-projection), each as (any
@@ -54,7 +42,11 @@ val span_name : step -> string
     {!Table.union_all} of the repairs for common lhs, the first heaviest
     repair for consensus, and the union of the matched repairs for lhs
     marriage. *)
-val combine : Schema.t -> step -> (Tuple.t * Table.t) list -> Table.t
+val combine :
+  Schema.t ->
+  Repair_dichotomy.Simplify.step ->
+  (Tuple.t * Table.t) list ->
+  Table.t
 
 (** [run ?budget ?runner d tbl] executes OptSRepair. [Ok s] is an
     optimal S-repair; [Error stuck] reports the simplified-but-nontrivial
@@ -95,6 +87,27 @@ val distance :
     dichotomy. [run] turns it into [Error]. *)
 exception Stuck of Fd_set.t
 
+(** [fold ~leaf ~combine ?budget ?runner d tbl] runs Algorithm 1's
+    recursion, carrying a value of any type: a block whose residual FD
+    set is trivial (or empty, on an empty table) is [leaf block], and the
+    solved blocks of each step are combined by [combine schema step
+    blocks], in group order, as for {!combine}. Ticks, spans and the
+    top-level fan-out are those of {!run}, without its
+    ["opt-s-repair"] span.
+    @raise Stuck on the hard side, the empty table included. *)
+val fold :
+  leaf:(Table.t -> 'a) ->
+  combine:
+    (Schema.t ->
+    Repair_dichotomy.Simplify.step ->
+    (Tuple.t * 'a) list ->
+    'a) ->
+  ?budget:Repair_runtime.Budget.t ->
+  ?runner:Table.runner ->
+  Fd_set.t ->
+  Table.t ->
+  'a
+
 (** [solve_block ?budget d tbl] is the raw recursive solve on one block:
     exactly the computation a batch [run] performs on a sub-table under a
     residual FD set, including its spans and budget ticks, but without
@@ -103,8 +116,3 @@ exception Stuck of Fd_set.t
     @raise Stuck on the hard side. *)
 val solve_block :
   ?budget:Repair_runtime.Budget.t -> Fd_set.t -> Table.t -> Table.t
-
-(** [check_delta_only d] simulates the simplification chain without data
-    (Theorem 3.4: success depends on Δ only).
-    @raise Stuck when the chain gets stuck. *)
-val check_delta_only : Fd_set.t -> unit

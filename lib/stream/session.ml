@@ -14,7 +14,7 @@
    repair renders byte for byte like a cold run's.
 
    Soundness of block locality: the first OptSRepair simplification
-   ([Opt_s_repair.step]) partitions the table on a fixed attribute set,
+   ([Simplify.step]) partitions the table on a fixed attribute set,
    and blocks never interact below the top-level combine. An insert or
    delete therefore perturbs exactly one block — re-solve it, reuse
    every other block's cached result verbatim, and recombine them with
@@ -30,6 +30,7 @@ module Metrics = Repair_obs.Metrics
 module Cache = Repair_serve.Cache
 module Cg = Repair_srepair.Conflict_graph
 module Osr = Repair_srepair.Opt_s_repair
+module Simplify = Repair_dichotomy.Simplify
 module Vc = Repair_graph.Vertex_cover
 module Iset = Set.Make (Int)
 
@@ -40,7 +41,7 @@ module Tmap = Map.Make (struct
 end)
 
 type poly = {
-  step : Osr.step; (* the top-level simplification *)
+  step : Simplify.step; (* the top-level simplification *)
   part : Attr_set.t; (* its partition attributes *)
   smaller : Fd_set.t; (* residual FD set inside a block *)
 }
@@ -108,12 +109,12 @@ let create ?(cache_capacity = default_cache_capacity) d base =
   let dt = Fd_set.remove_trivial d in
   let mode =
     if Fd_set.is_empty dt then Trivial
-    else if not (Repair_dichotomy.Simplify.succeeds d) then
+    else if not (Simplify.succeeds d) then
       Hard (Cg.Incremental.of_table d work)
     else
-      match Osr.step dt with
+      match Simplify.step dt with
       | Some step ->
-        let part = Osr.partition step in
+        let part = Simplify.partition step in
         Poly { step; part; smaller = Fd_set.minus dt part }
       | None ->
         (* Simplify.succeeds said the chain completes. *)
@@ -316,10 +317,7 @@ let summary t =
     let result =
       Metrics.with_span "opt-s-repair" (fun () ->
           Budget.tick ~phase:"opt-s-repair" budget;
-          if Table.is_empty m then begin
-            Osr.check_delta_only t.dt;
-            m
-          end
+          if Table.is_empty m then m
           else
             (* Tmap.bindings iterates keys in Tuple.compare order — the
                order Table.group_by sorts its groups — and every alive

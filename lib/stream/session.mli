@@ -1,9 +1,10 @@
 (** A delta-driven repair maintainer (DESIGN §16).
 
     [create d base] classifies Δ once: trivial, polynomial
-    ({!Repair_srepair.Opt_s_repair.step} finds the first simplification,
-    whose partition attribute set splits the table into blocks that
-    never interact, so locality is sound), or hard (no decomposition
+    ({!Repair_dichotomy.Simplify.step} finds the first simplification,
+    whose {!Repair_dichotomy.Simplify.partition} attribute set splits the
+    table into blocks that never interact, so locality is sound), or
+    hard (no decomposition
     exists; the conflict graph is maintained incrementally instead).
     [tick] applies one {!Delta.t} at O(affected-group) cost: inserts
     extend the store tip, deletes tombstone a position, and on the

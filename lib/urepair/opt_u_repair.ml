@@ -36,14 +36,9 @@ let consensus_majority tbl attrs =
       | Some v -> Table.map_tuples acc (fun _ t -> Tuple.set_attr schema t a v))
     attrs tbl
 
-(* Corollary 4.6 (positive side): common lhs + OSRSucceeds. *)
-let via_common_lhs ?budget d tbl =
+(* Corollary 4.6 (positive side): common lhs [a] + OSRSucceeds. *)
+let via_common_lhs ?budget d a tbl =
   let s_star = Repair_srepair.Opt_s_repair.run_exn ?budget d tbl in
-  let a =
-    match Fd_set.common_lhs d with
-    | Some a -> a
-    | None -> invalid_arg "via_common_lhs: no common lhs"
-  in
   Transform.update_of_subset ~cover:(Attr_set.singleton a) d ~table:tbl s_star
 
 (* Proposition 4.9: Δ ≡ {A → B, B → A}. Rewrite each deleted tuple into a
@@ -84,16 +79,16 @@ let is_two_way_unary d =
     if Attr_set.mem b cl_a && Attr_set.mem a cl_b then Some (a, b) else None
   | _ -> None
 
-(* Diagnosis of a refused component, naming the applicable hardness
-   result when we know one. *)
-let diagnose_component c =
-  let has_common = Fd_set.common_lhs c <> None in
-  if has_common then
+(* Diagnosis of a refused component whose first simplification is
+   [step], naming the applicable hardness result when we know one. *)
+let diagnose_component c step =
+  match step with
+  | Some (Simplify.Common_lhs _) ->
     (* Corollary 4.6 makes U-repairing inter-reducible with S-repairing;
        OSRSucceeds failed (else we'd have solved it), so Theorem 3.4 gives
        APX-completeness. *)
     Known_apx_hard "Corollary 4.6 + Theorem 3.4 (common lhs, OSRSucceeds fails)"
-  else
+  | _ ->
     let norm = Fd_set.normalize c in
     let fds = Fd_set.to_list norm in
     let is_chain_of_two =
@@ -148,17 +143,32 @@ let diagnose_component c =
         Known_apx_hard "Theorem 4.10: Δ_{A↔B→C}"
       else Open_complexity
 
+(* How to solve one nontrivial component, decided from Δ alone: Prop.
+   4.9 first, then Cor. 4.6; otherwise the refusal with its diagnosis. *)
+let plan c =
+  let step = Simplify.step c in
+  match (is_two_way_unary c, step) with
+  | Some ab, _ when Simplify.succeeds c -> Ok (`Two_way_unary ab)
+  | _, Some (Simplify.Common_lhs a) when Simplify.succeeds c ->
+    Ok (`Common_lhs a)
+  | _ -> Error { component = c; hardness = diagnose_component c step }
+
 let solve_component ~budget c tbl =
   Budget.tick ~phase:"opt-u-repair" budget;
-  if Fd_set.is_trivial c then tbl
-  else
-    match is_two_way_unary c with
-    | Some (a, b) when Simplify.succeeds c ->
-      via_two_way_unary ~budget c (a, b) tbl
-    | _ ->
-      if Fd_set.common_lhs c <> None && Simplify.succeeds c then
-        via_common_lhs ~budget c tbl
-      else raise (Refuse { component = c; hardness = diagnose_component c })
+  match plan c with
+  | Ok (`Two_way_unary ab) -> via_two_way_unary ~budget c ab tbl
+  | Ok (`Common_lhs a) -> via_common_lhs ~budget c a tbl
+  | Error f -> raise (Refuse f)
+
+(* Theorem 4.3, then Theorem 4.1: the consensus attributes cl(∅) of the
+   normalized Δ, and the nontrivial attribute-disjoint components of what
+   is left once they are removed. *)
+let decompose d =
+  let d = Fd_set.normalize d in
+  let consensus = Fd_set.consensus_attrs d in
+  let rest = Fd_set.remove_trivial (Fd_set.minus d consensus) in
+  ( consensus,
+    List.filter (fun c -> not (Fd_set.is_trivial c)) (Fd_set.components rest) )
 
 (* Compose component solutions: each solution only modifies attributes
    inside its component, so copying those attribute values into the base
@@ -174,18 +184,9 @@ let compose schema base updates_with_attrs =
     base updates_with_attrs
 
 let diagnose d =
-  let d = Fd_set.normalize d in
-  let rest = Fd_set.remove_trivial (Fd_set.minus d (Fd_set.consensus_attrs d)) in
-  let refusal c =
-    if Fd_set.is_trivial c then None
-    else
-      match is_two_way_unary c with
-      | Some _ when Simplify.succeeds c -> None
-      | _ ->
-        if Fd_set.common_lhs c <> None && Simplify.succeeds c then None
-        else Some { component = c; hardness = diagnose_component c }
-  in
-  Fd_set.components rest |> List.find_map refusal
+  List.find_map
+    (fun c -> match plan c with Ok _ -> None | Error f -> Some f)
+    (snd (decompose d))
 
 (* Theorem 4.1's components touch disjoint attribute sets, so a wide
    [runner] solves them as independent tasks ([Table.fold_budgeted]) and
@@ -199,23 +200,16 @@ let solve ?(budget = Budget.unlimited ()) ?(runner = Table.seq_runner) d tbl =
     if runner.Table.width > 1 && diagnose d <> None then Table.seq_runner
     else runner
   in
-  let schema = Table.schema tbl in
-  let d = Fd_set.normalize d in
+  let consensus, components = decompose d in
+  let base = consensus_majority tbl consensus in
   try
-    let consensus = Fd_set.consensus_attrs d in
-    let base =
-      if Attr_set.is_empty consensus then tbl
-      else consensus_majority tbl consensus
-    in
-    let rest = Fd_set.remove_trivial (Fd_set.minus d consensus) in
-    Fd_set.components rest
-    |> List.filter (fun c -> not (Fd_set.is_trivial c))
+    components
     |> Table.fold_budgeted runner budget
          (fun b c -> (Fd_set.attrs c, solve_component ~budget:b c tbl))
          (fun updates u -> u :: updates)
          []
     |> List.rev
-    |> compose schema base
+    |> compose (Table.schema tbl) base
     |> Result.ok
   with Refuse f -> Error f
 

@@ -37,6 +37,17 @@ type failure = { component : Fd_set.t; hardness : hardness }
     written into every other tuple (Proposition B.2 / Corollary B.3). *)
 val consensus_majority : Table.t -> Attr_set.t -> Table.t
 
+(** [decompose d] is Section 4's split of Δ, the one every solver here
+    uses: the consensus attributes [cl(∅)] of the normalized Δ (Theorem
+    4.3), and the nontrivial attribute-disjoint components of the rest
+    (Theorem 4.1), in {!Fd_set.components} order. *)
+val decompose : Fd_set.t -> Attr_set.t * Fd_set.t list
+
+(** [compose schema base updates] is Theorem 4.1's composition: for each
+    (component attributes, component update) in order, the component's
+    attribute values are copied into [base]. *)
+val compose : Schema.t -> Table.t -> (Attr_set.t * Table.t) list -> Table.t
+
 (** [solve ?budget ?runner d tbl] is [Ok u] with [u] an optimal
     U-repair, or [Error f] naming the first component the solver cannot
     handle in polynomial time. Each component is a [budget] checkpoint

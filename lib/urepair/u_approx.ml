@@ -13,15 +13,9 @@ let via_s_repair d tbl =
   end
 
 let best d tbl =
-  let schema = Table.schema tbl in
-  let d = Fd_set.normalize d in
-  let consensus = Fd_set.consensus_attrs d in
+  let consensus, components = Opt_u_repair.decompose d in
   (* Theorem 4.3: the consensus part is solved exactly (ratio 1). *)
-  let base =
-    if Attr_set.is_empty consensus then tbl
-    else Opt_u_repair.consensus_majority tbl consensus
-  in
-  let rest = Fd_set.remove_trivial (Fd_set.minus d consensus) in
+  let base = Opt_u_repair.consensus_majority tbl consensus in
   let solve_component c =
     match Opt_u_repair.solve c tbl with
     | Ok u -> (u, 1.0)
@@ -39,38 +33,21 @@ let best d tbl =
       (pick, ratio)
   in
   let solved =
-    Fd_set.components rest
-    |> List.filter (fun c -> not (Fd_set.is_trivial c))
-    |> List.map (fun c ->
-           let u, ratio = solve_component c in
-           (Fd_set.attrs c, u, ratio))
+    List.map (fun c -> (Fd_set.attrs c, solve_component c)) components
   in
   let u =
-    List.fold_left
-      (fun acc (attrs, cu, _) ->
-        Table.map_tuples acc (fun i t ->
-            Attr_set.fold
-              (fun a t' ->
-                Tuple.set_attr schema t' a
-                  (Tuple.get_attr schema (Table.tuple cu i) a))
-              attrs t))
-      base solved
+    Opt_u_repair.compose (Table.schema tbl) base
+      (List.map (fun (attrs, (cu, _)) -> (attrs, cu)) solved)
   in
-  let ratio =
-    List.fold_left (fun acc (_, _, r) -> max acc r) 1.0 solved
-  in
-  (u, ratio)
+  (u, List.fold_left (fun acc (_, (_, r)) -> max acc r) 1.0 solved)
 
 let certified_ratio d =
-  let d = Fd_set.normalize d in
-  let rest = Fd_set.remove_trivial (Fd_set.minus d (Fd_set.consensus_attrs d)) in
-  Fd_set.components rest
-  |> List.filter (fun c -> not (Fd_set.is_trivial c))
-  |> List.fold_left
-       (fun acc c ->
-         let r =
-           if Opt_u_repair.tractable c then 1.0
-           else 2.0 *. float_of_int (Lhs_analysis.mlc c)
-         in
-         max acc r)
-       1.0
+  List.fold_left
+    (fun acc c ->
+      let r =
+        if Opt_u_repair.tractable c then 1.0
+        else 2.0 *. float_of_int (Lhs_analysis.mlc c)
+      in
+      max acc r)
+    1.0
+    (snd (Opt_u_repair.decompose d))

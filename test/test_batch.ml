@@ -241,53 +241,53 @@ let test_journal_corruption_matrix () =
     Sys.remove scratch
   done
 
-(* Journals written before framing are plain JSONL: still recovered,
-   still resumable, and appends continue in legacy format so a file is
-   never format-mixed. Damage in a legacy journal is still corruption. *)
+(* Journals written before framing are plain JSONL. The first line
+   fails the frame grammar, so recovery refuses the file as corruption at
+   byte 0: every byte moves to the sidecar and the journal is emptied.
+   The next resume starts over in framed records. A framed commit
+   written before telemetry still reads with its defaults. *)
 let test_journal_legacy_format () =
   let dir = fresh_dir () in
   let path = Filename.concat dir "legacy.jsonl" in
-  write_file path
-    ({|{"event":"begin","jobs":2}|} ^ "\n"
-   ^ {|{"event":"start","job":"a","attempt":1}|} ^ "\n"
-   ^ {|{"event":"commit","job":"a","attempt":1,"status":"ok","method":"m","distance":1.0}|}
-   ^ "\n");
-  let r = J.recover path in
-  Alcotest.(check bool) "detected as legacy" true (r.J.format = `Legacy);
-  Alcotest.(check int) "entries read" 3 (List.length r.J.entries);
-  (match List.assoc "a" r.J.committed with
-  | J.Commit { wall_ms; _ } ->
-    Alcotest.(check (float 0.0)) "missing wall_ms reads as zero" 0.0 wall_ms
-  | _ -> Alcotest.fail "terminal record for a is not a commit");
-  (* resume executes only b and appends in the journal's own format *)
+  let commit_without_telemetry =
+    {|{"event":"commit","job":"a","attempt":1,"status":"ok","method":"m","distance":1.0}|}
+  in
+  let legacy =
+    {|{"event":"begin","jobs":2}|} ^ "\n"
+    ^ {|{"event":"start","job":"a","attempt":1}|} ^ "\n"
+    ^ commit_without_telemetry ^ "\n"
+  in
+  write_file path legacy;
+  (match J.recover path with
+  | (_ : J.recovery) -> Alcotest.fail "plain JSONL journal not refused"
+  | exception E.Error (E.Corruption { offset; _ }) ->
+    Alcotest.(check int) "refused at byte 0" 0 offset;
+    Alcotest.(check string) "sidecar holds the original bytes" legacy
+      (read_file (J.corrupt_sidecar path));
+    Alcotest.(check string) "journal emptied" "" (read_file path));
+  (* the next resume runs every job and writes only framed records *)
   let counts = Hashtbl.create 8 in
   let s =
     Runner.run ~resume:true ~exec:(counting_exec counts) ~journal:path
       (stub_manifest [ "a"; "b" ])
   in
-  Alcotest.(check int) "one job replayed" 1 s.Runner.replayed;
-  Alcotest.(check bool) "a not re-executed" false (Hashtbl.mem counts "a");
+  Alcotest.(check int) "nothing replayed" 0 s.Runner.replayed;
+  Alcotest.(check int) "a executed once" 1 (Hashtbl.find counts "a");
   Alcotest.(check int) "b executed once" 1 (Hashtbl.find counts "b");
-  let text = read_file path in
-  Alcotest.(check bool) "appends stayed legacy JSONL" true (text.[0] = '{');
-  Alcotest.(check bool) "no framed record crept in" false
-    (List.exists
-       (fun l -> l <> "" && l.[0] = '@')
-       (String.split_on_char '\n' text));
-  let r2 = J.recover path in
-  Alcotest.(check bool) "still legacy after resume" true (r2.J.format = `Legacy);
-  Alcotest.(check int) "both terminal" 2 (List.length r2.J.committed);
-  (* mid-file damage in a legacy journal is corruption too *)
-  let lines = String.split_on_char '\n' (read_file path) in
-  let mangled =
-    List.mapi (fun i l -> if i = 2 then {|{"event":"comm_DAMAGE"}|} else l) lines
-  in
-  write_file path (String.concat "\n" mangled);
-  (match J.recover path with
-  | (_ : J.recovery) -> Alcotest.fail "legacy damage not detected"
-  | exception E.Error (E.Corruption _) ->
-    Alcotest.(check bool) "legacy damage quarantined" true
-      (Sys.file_exists (J.corrupt_sidecar path)))
+  Alcotest.(check bool) "only framed records" true
+    (List.for_all
+       (fun l -> l = "" || l.[0] = '@')
+       (String.split_on_char '\n' (read_file path)));
+  (* a framed commit without wall_ms and counters reads them as defaults *)
+  let old = Filename.concat dir "pre-telemetry.jsonl" in
+  write_file old
+    (J.frame {|{"event":"begin","jobs":1}|} ^ J.frame commit_without_telemetry);
+  match List.assoc "a" (J.recover old).J.committed with
+  | J.Commit { wall_ms; counters; _ } ->
+    Alcotest.(check (float 0.0)) "missing wall_ms reads as zero" 0.0 wall_ms;
+    Alcotest.(check int) "missing counters read as empty" 0
+      (List.length counters)
+  | _ -> Alcotest.fail "terminal record for a is not a commit"
 
 (* ---------- runner ---------- *)
 

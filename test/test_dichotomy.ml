@@ -12,7 +12,6 @@ let step_names trace =
   List.map
     (fun (step, _) ->
       match step with
-      | Simplify.Removed_trivial _ -> "trivial"
       | Simplify.Common_lhs _ -> "common"
       | Simplify.Consensus _ -> "consensus"
       | Simplify.Marriage _ -> "marriage")
@@ -63,9 +62,17 @@ let test_tractable_examples () =
       ("trivial", Fd_set.parse "A -> A") ]
 
 let test_trivial_input_trace () =
-  let _, trace = Simplify.run (Fd_set.parse "A -> A; A -> B") in
-  Alcotest.(check string) "records trivial removal" "trivial"
-    (List.hd (step_names trace))
+  let d = Fd_set.parse "A -> A; A -> B" in
+  let _, trace = Simplify.run d in
+  Alcotest.(check (list string)) "steps run on the nontrivial part"
+    [ "common"; "consensus" ] (step_names trace);
+  Alcotest.(check (list string)) "prints the trivial removal first"
+    [ "{A → A, A → B}";
+      "  (trivial: {A → A}) ⇛ {A → B}";
+      "  (common lhs A) ⇛ {∅ → B}";
+      "  (consensus ∅ → B) ⇛ {}" ]
+    (String.split_on_char '\n'
+       (String.trim (Fmt.str "%a" Simplify.pp_trace (d, trace))))
 
 (* ---------- chain corollary ---------- *)
 

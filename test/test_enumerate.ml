@@ -110,10 +110,28 @@ let test_count_office () =
   Alcotest.(check int) "office has 2 optimal repairs" 2
     (Count.optimal_s_repairs_exn D.office_fds D.office_table)
 
+(* Refusal depends on Δ only: an empty table is refused with the same
+   payload as a one-row table. *)
 let test_count_refuses_marriage () =
-  match Count.optimal_s_repairs D.delta_a_b_c_marriage (Table.empty D.r3_schema) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "marriage should be refused"
+  let schema4 = Schema.make "R" [ "A"; "B"; "C"; "D" ] in
+  let one_row =
+    Table.of_list schema4
+      [ (1, 1.0, Tuple.make (List.map Value.int [ 1; 1; 1; 1 ])) ]
+  in
+  List.iter
+    (fun (d, refused_at) ->
+      let d = Fd_set.parse d in
+      List.iter
+        (fun t ->
+          match Count.optimal_s_repairs d t with
+          | Error d' ->
+            Alcotest.(check string) "refusal payload" refused_at
+              (Fmt.str "%a" Fd_set.pp d')
+          | Ok _ -> Alcotest.failf "%a should be refused" Fd_set.pp d)
+        [ Table.empty schema4; one_row ])
+    [ ("A -> B; B -> A; B -> C", "{A → B, B → A, B → C}");
+      ("A B -> C; A C -> B", "{B → C, C → B}");
+      ("A B -> C; A C -> D; A D -> B", "{B → C, C → D, D → B}") ]
 
 let prop_count_matches_enumeration =
   qcheck ~count:30 "polynomial count = enumerated count on chain FD sets"

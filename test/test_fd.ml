@@ -253,15 +253,6 @@ let test_mfs_mci_families () =
         (Lhs_analysis.mlc dk'))
     [ 1; 2; 3; 4 ]
 
-let test_our_ratio () =
-  (* Theorem 4.1 refinement: disjoint union takes the max of the parts. *)
-  Alcotest.(check int) "single FD" 2
-    (Lhs_analysis.our_ratio (Fd_set.parse "A -> B"));
-  Alcotest.(check int) "disjoint union" 2
-    (Lhs_analysis.our_ratio (Fd_set.parse "A -> B; C -> D"));
-  Alcotest.(check int) "trivial" 1
-    (Lhs_analysis.our_ratio Fd_set.empty)
-
 let test_implicants () =
   let d = Fd_set.parse "A -> C; B -> C" in
   let imps = Lhs_analysis.implicants d "C" in
@@ -392,7 +383,6 @@ let () =
       ( "lhs analysis",
         [ Alcotest.test_case "mlc" `Quick test_mlc;
           Alcotest.test_case "Δk and Δ'k measures (§4.4)" `Quick test_mfs_mci_families;
-          Alcotest.test_case "our ratio" `Quick test_our_ratio;
           Alcotest.test_case "implicants" `Quick test_implicants ] );
       ( "properties",
         [ prop_closure_monotone_idempotent;

@@ -443,6 +443,17 @@ let test_heuristic_helps_combined () =
       (Table.dist_upd combined t <= Table.dist_upd certified t +. 1e-9)
   done
 
+let test_certified_ratio_components () =
+  (* Theorem 4.1 refinement: a disjoint union takes the maximum of its
+     parts, not 2·mlc of the whole (10 for the last set). *)
+  let ratio s = U_approx.certified_ratio (Fd_set.parse s) in
+  check_float "one hard part" 4.0 (ratio "A -> B; B -> C");
+  check_float "a tractable part adds nothing" 4.0
+    (ratio "A -> B; B -> C; D -> E");
+  check_float "disjoint union" 6.0
+    (ratio "A -> B; B -> C; D -> E; E -> F; F -> G");
+  check_float "trivial" 1.0 (U_approx.certified_ratio Fd_set.empty)
+
 let test_ratio_families () =
   (* Section 4.4: our ratio on Δ_k is 2(k+2)?  mlc(Δ_k): lhs's are
      {A0..Ak}, {B0}, {B1}, ..., {Bk} — pairwise disjoint except nothing
@@ -499,4 +510,6 @@ let () =
           prop_heuristic_matches_per_tuple 4;
           Alcotest.test_case "voting heuristic" `Quick test_heuristic_votes_majority;
           Alcotest.test_case "combined beats certified" `Quick test_heuristic_helps_combined;
+          Alcotest.test_case "certified ratio of a disjoint union" `Quick
+            test_certified_ratio_components;
           Alcotest.test_case "ratio families (§4.4)" `Quick test_ratio_families ] ) ]
