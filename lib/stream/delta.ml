@@ -46,7 +46,8 @@ let parse ?line s =
         | None -> 1.0
         | Some v -> (
           match Json.float_value v with
-          | Some w when w > 0.0 -> w
+          | Some w when w > 0.0 && w < Float.infinity -> w
+          | Some w when w > 0.0 -> err ?line "field \"weight\" must be finite"
           | Some _ -> err ?line "field \"weight\" must be positive"
           | None -> err ?line "field \"weight\" must be a number")
       in

@@ -1,7 +1,7 @@
 (** The streaming delta log (DESIGN §16): one JSONL line per update.
 
     - [{"op":"insert","tuple":["1","2"],"weight":2.0,"id":7}] — [weight]
-      defaults to [1.0]; [id] defaults to one above the largest id the
+      defaults to [1.0] and must be positive and finite; [id] defaults to one above the largest id the
       session has seen. Tuple cells are strings (decoded exactly like CSV
       cells: integer literals, ["_|_"], ["$n"], anything else a string)
       or bare JSON integers.

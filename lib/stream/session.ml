@@ -192,7 +192,8 @@ let apply_insert t ~id ~weight values =
     err
       (Printf.sprintf "insert arity %d does not match schema arity %d" arity
          (Schema.arity t.schema));
-  if weight <= 0.0 then err "insert weight must be positive";
+  if not (weight > 0.0) then err "insert weight must be positive";
+  if weight = Float.infinity then err "insert weight must be finite";
   (match id with
   | Some i when i <= last_id t ->
     err

@@ -38,9 +38,10 @@ val create : ?cache_capacity:int -> Fd_set.t -> Table.t -> t
 
 (** [tick t delta] applies one delta. O(affected-group).
     @raise Repair_runtime.Repair_error.Error
-      ([Parse]) on arity mismatch, non-positive weight, an insert id not
-      above every id seen, or a delete of an unknown id. A rejected tick
-      leaves the session state unchanged. *)
+      ([Parse]) on arity mismatch, a weight that is not positive and
+      finite (NaN included), an insert id not above every id seen, or a
+      delete of an unknown id. A rejected tick leaves the session state
+      unchanged. *)
 val tick : t -> Delta.t -> unit
 
 (** The current table: base plus inserts, minus tombstoned deletes.

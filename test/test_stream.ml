@@ -260,13 +260,19 @@ let test_rejects_leave_state () =
   in
   reject (Delta.Insert { id = Some 2; weight = 1.0; values = [ Value.int 1; Value.int 1 ] });
   reject (Delta.Insert { id = None; weight = -1.0; values = [ Value.int 1; Value.int 1 ] });
+  reject
+    (Delta.Insert
+       { id = None; weight = Float.infinity; values = [ Value.int 1; Value.int 1 ] });
+  reject
+    (Delta.Insert
+       { id = None; weight = Float.nan; values = [ Value.int 1; Value.int 1 ] });
   reject (Delta.Insert { id = None; weight = 1.0; values = [ Value.int 1 ] });
   reject (Delta.Delete { id = 77 });
   let after = Ss.summary session in
   Alcotest.(check bool) "summary unchanged after rejects" true
     (Table.equal before.Ss.result after.Ss.result
     && before.Ss.distance = after.Ss.distance);
-  Alcotest.(check int) "all four rejects counted" 4 (Ss.stats session).Ss.rejects;
+  Alcotest.(check int) "all six rejects counted" 6 (Ss.stats session).Ss.rejects;
   Alcotest.(check int) "no tick accepted" 0 (Ss.stats session).Ss.ticks
 
 let () =
