@@ -615,45 +615,13 @@ let chaos_trial seed =
    DESIGN §16's identity contract, fuzzed: after EVERY delta on a random
    tape the session's summary must match a cold driver run on the
    materialized table — result table, distance, method, optimal flag,
-   ratio, all compared exactly, no epsilon. A random edit script over
-   Vertex_cover.Incremental rides along: the maintained store's cover
-   must equal the batch greedy on the final graph, modulo slot
-   renaming. *)
-
-let check_vc_incremental rng =
-  let module Vc = R.Graph.Vertex_cover in
-  let module Vci = Vc.Incremental in
-  let t = Vci.create () in
-  let slots = ref [] in
-  let pick ss = List.nth ss (Rng.int rng (List.length ss)) in
-  for _ = 1 to Rng.in_range rng 2 16 do
-    match (Rng.int rng 4, !slots) with
-    | (0 | 1), _ | _, [] ->
-      slots :=
-        Vci.add_vertex t ~weight:(float_of_int (Rng.in_range rng 1 5))
-        :: !slots
-    | 2, ss ->
-      let u = pick ss and v = pick ss in
-      if u <> v then
-        if Rng.bool rng then Vci.add_edge t u v else Vci.remove_edge t u v
-    | _, ss ->
-      let v = pick ss in
-      Vci.remove_vertex t v;
-      slots := List.filter (fun s -> s <> v) ss
-  done;
-  let g, map = Vci.to_graph t in
-  let batch = List.map (fun i -> map.(i)) (Vc.greedy g) in
-  if Vci.cover t <> batch then
-    fail "incremental cover %a != batch greedy %a"
-      Fmt.(Dump.list int)
-      (Vci.cover t)
-      Fmt.(Dump.list int)
-      batch
+   ratio, all compared exactly, no epsilon. A third of the trials start
+   past S_exact.size_limit, so hard tapes also reach the approximation
+   rung. *)
 
 let stream_trial seed =
   let module Ss = R.Stream.Session in
   let rng = Rng.make seed in
-  check_vc_incremental rng;
   let n_attrs = Rng.in_range rng 2 3 in
   let schema, d =
     Gen_fd.random rng ~n_attrs ~n_fds:(Rng.in_range rng 1 2) ~max_lhs:2
@@ -662,7 +630,9 @@ let stream_trial seed =
     Gen_table.dirty rng schema d
       {
         Gen_table.default with
-        n = Rng.in_range rng 0 8;
+        n =
+          (if Rng.int rng 3 = 0 then Rng.in_range rng 65 120
+           else Rng.in_range rng 0 8);
         noise = 0.4;
         domain_size = 3;
         weighted = Rng.bool rng;

@@ -1293,9 +1293,11 @@ let stream_cmd =
   in
   let doc =
     "Maintain a repair incrementally under a JSONL delta log \
-     (DESIGN §16): each insert/delete re-solves only its own block, and \
-     the final summary is byte-identical to a cold $(b,s-repair) run on \
-     the materialized table. Without $(b,--socket)/$(b,--port) the \
+     (DESIGN §16): when the FD set is on the polynomial side, each \
+     insert/delete re-solves only its own block; on the hard side a \
+     summary solves the current table from scratch. Either way the final \
+     summary is byte-identical to a cold $(b,s-repair) run on the \
+     materialized table. Without $(b,--socket)/$(b,--port) the \
      session runs in-process; with one, the log replays through a \
      running $(b,repair-cli serve) daemon's per-connection stream \
      session. A malformed delta line is rejected on stderr and the \

@@ -213,6 +213,9 @@ grep -q '"traceEvents"' "$sdir/t.trace.json"
 # to a cold s-repair run on the materialized table (dumped by a
 # local-mode replay of the same tape); and the `top --once` stream row
 # must reflect the tape (1000 ticks, a live block-cache hit rate).
+# Then a hard tape (A -> B; B -> C, a generated 300-row table and 200
+# deltas, past the exact gate) replays through the daemon and locally:
+# both repairs and summary lines must equal a cold s-repair's.
 awk 'BEGIN{print "#id,#weight,A,B";
   for(i=1;i<=500;i++) printf "%d,1,%d,%d\n", i, i%100+1, i%7+1}' \
   > "$sdir/sbase.csv"
@@ -245,6 +248,29 @@ grep -q '^total.stream.ticks 1000' "$sdir/stop.txt"
 grep -q '^stream.ticks_per_s ' "$sdir/stop.txt"
 grep -Eq '^stream.affected_ratio 0\.[0-9]+' "$sdir/stop.txt"
 grep -Eq '^stream.cache_hit_rate 0\.[0-9]+' "$sdir/stop.txt"
+hard_fds="A -> B; B -> C"
+./_build/default/bin/repair_cli.exe generate -f "$hard_fds" -a "A B C" \
+  --size 300 --domain 100 --noise 0.1 --seed 105 -o "$sdir/hbase.csv"
+awk 'BEGIN{for(k=0;k<200;k++){
+  if(k%2==0)
+    printf "{\"op\":\"insert\",\"id\":%d,\"tuple\":[%d,%d,%d]}\n", \
+      301+k,(k*7)%100+1,(k*11)%100+1,(k*13)%100+1;
+  else printf "{\"op\":\"delete\",\"id\":%d}\n",(37*(k-1)/2)%300+1 }}' \
+  > "$sdir/htape.jsonl"
+./_build/default/bin/repair_cli.exe stream -f "$hard_fds" "$sdir/hbase.csv" \
+  --deltas "$sdir/htape.jsonl" --socket "$sdir/st.sock" --chunk 50 \
+  -o "$sdir/hwire.csv" > "$sdir/hwire.out" 2>&1
+./_build/default/bin/repair_cli.exe stream -f "$hard_fds" "$sdir/hbase.csv" \
+  --deltas "$sdir/htape.jsonl" --dump-table "$sdir/hmat.csv" \
+  -o "$sdir/hlocal.csv" > "$sdir/hlocal.out" 2>&1
+./_build/default/bin/repair_cli.exe s-repair -f "$hard_fds" "$sdir/hmat.csv" \
+  -o "$sdir/hcold.csv" 2> "$sdir/hcold.err"
+cmp "$sdir/hwire.csv" "$sdir/hcold.csv"    # wire repair = cold repair
+cmp "$sdir/hlocal.csv" "$sdir/hcold.csv"   # local repair = cold repair
+hcold=$(sed -n 's/^s-repair: \(distance=.*\)/\1/p' "$sdir/hcold.err")
+grep -q 'within factor 2' "$sdir/hcold.err"   # the approximation rung
+[ "$(sed -n 's/^stream: \(distance=.*\)/\1/p' "$sdir/hwire.out")" = "$hcold" ]
+[ "$(sed -n 's/^stream: \(distance=.*\)/\1/p' "$sdir/hlocal.out")" = "$hcold" ]
 kill -TERM "$ssrv"
 sdrain=0; wait "$ssrv" || sdrain=$?
 [ "$sdrain" -eq 0 ]

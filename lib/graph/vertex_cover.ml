@@ -76,168 +76,6 @@ let greedy g =
   done;
   Iset.elements !cover
 
-(* Dynamic companion to [greedy]: a growable graph that absorbs vertex
-   and edge insertions/deletions, maintaining exactly the degree state
-   [greedy] seeds its gain array from. Slots are allocated in insertion
-   order and never reused, so the alive slots (ascending) are
-   order-isomorphic to the dense vertex ids of a graph built fresh from
-   the surviving vertices — [cover] runs the batch greedy loop over the
-   alive slots in that order, with the same score and the same strict
-   first-best tie-break, and therefore returns the same cover modulo the
-   slot <-> dense-index renaming. *)
-module Incremental = struct
-  type t = {
-    mutable weights : float array; (* slot -> weight *)
-    mutable adj : Iset.t array; (* slot -> alive neighbour slots *)
-    mutable alive : bool array;
-    mutable n_slots : int;
-    mutable n_alive : int;
-    mutable n_edges : int;
-  }
-
-  let create () =
-    {
-      weights = [||];
-      adj = [||];
-      alive = [||];
-      n_slots = 0;
-      n_alive = 0;
-      n_edges = 0;
-    }
-
-  let grow t =
-    let cap = Array.length t.weights in
-    if t.n_slots = cap then begin
-      let cap' = max 8 (2 * cap) in
-      let weights = Array.make cap' 1.0 in
-      let adj = Array.make cap' Iset.empty in
-      let alive = Array.make cap' false in
-      Array.blit t.weights 0 weights 0 cap;
-      Array.blit t.adj 0 adj 0 cap;
-      Array.blit t.alive 0 alive 0 cap;
-      t.weights <- weights;
-      t.adj <- adj;
-      t.alive <- alive
-    end
-
-  let check t who v =
-    if v < 0 || v >= t.n_slots || not t.alive.(v) then
-      invalid_arg
-        (Printf.sprintf "Vertex_cover.Incremental.%s: dead or unknown slot %d"
-           who v)
-
-  let add_vertex t ~weight =
-    if weight <= 0.0 then
-      invalid_arg "Vertex_cover.Incremental.add_vertex: weight must be positive";
-    grow t;
-    let slot = t.n_slots in
-    t.weights.(slot) <- weight;
-    t.adj.(slot) <- Iset.empty;
-    t.alive.(slot) <- true;
-    t.n_slots <- slot + 1;
-    t.n_alive <- t.n_alive + 1;
-    slot
-
-  let add_edge t u v =
-    check t "add_edge" u;
-    check t "add_edge" v;
-    if u = v then invalid_arg "Vertex_cover.Incremental.add_edge: self-loop";
-    if not (Iset.mem v t.adj.(u)) then begin
-      t.adj.(u) <- Iset.add v t.adj.(u);
-      t.adj.(v) <- Iset.add u t.adj.(v);
-      t.n_edges <- t.n_edges + 1
-    end
-
-  let remove_edge t u v =
-    check t "remove_edge" u;
-    check t "remove_edge" v;
-    if Iset.mem v t.adj.(u) then begin
-      t.adj.(u) <- Iset.remove v t.adj.(u);
-      t.adj.(v) <- Iset.remove u t.adj.(v);
-      t.n_edges <- t.n_edges - 1
-    end
-
-  let remove_vertex t v =
-    check t "remove_vertex" v;
-    Iset.iter
-      (fun u ->
-        t.adj.(u) <- Iset.remove v t.adj.(u);
-        t.n_edges <- t.n_edges - 1)
-      t.adj.(v);
-    t.adj.(v) <- Iset.empty;
-    t.alive.(v) <- false;
-    t.n_alive <- t.n_alive - 1
-
-  let n_alive t = t.n_alive
-  let n_edges t = t.n_edges
-  let mem_vertex t v = v >= 0 && v < t.n_slots && t.alive.(v)
-
-  let degree t v =
-    check t "degree" v;
-    Iset.cardinal t.adj.(v)
-
-  let weight t v =
-    check t "weight" v;
-    t.weights.(v)
-
-  (* Dense materialization: alive slots in ascending order become the
-     vertex ids of a fresh [Graph.t]. Returns the graph together with the
-     dense-index -> slot mapping. Adjacency sets make the edge insertion
-     order irrelevant, so the result is structurally identical to a graph
-     built from scratch on the surviving vertices. *)
-  let to_graph t =
-    let slots = Array.make t.n_alive 0 in
-    let dense = Array.make (max 1 t.n_slots) (-1) in
-    let k = ref 0 in
-    for v = 0 to t.n_slots - 1 do
-      if t.alive.(v) then begin
-        slots.(!k) <- v;
-        dense.(v) <- !k;
-        incr k
-      end
-    done;
-    let g = Graph.create_weighted (Array.map (fun s -> t.weights.(s)) slots) in
-    Array.iteri
-      (fun i s ->
-        Iset.iter (fun u -> if u > s then Graph.add_edge g i dense.(u)) t.adj.(s))
-      slots;
-    (g, slots)
-
-  (* The batch [greedy] loop, run directly on the live state: gains seed
-     from the maintained degrees, the argmax scans alive slots in
-     ascending order with the same strict [>] first-best tie-break, and a
-     chosen slot repairs only its neighbours' gains in O(deg). *)
-  let cover t =
-    let n = t.n_slots in
-    let gain =
-      Array.init n (fun v -> if t.alive.(v) then Iset.cardinal t.adj.(v) else 0)
-    in
-    let chosen = Array.make n false in
-    let uncovered = ref t.n_edges in
-    let cover = ref Iset.empty in
-    while !uncovered > 0 do
-      let best = ref (-1) and best_score = ref neg_infinity in
-      for v = 0 to n - 1 do
-        if gain.(v) > 0 then begin
-          let score = float_of_int gain.(v) /. t.weights.(v) in
-          if score > !best_score then begin
-            best := v;
-            best_score := score
-          end
-        end
-      done;
-      let b = !best in
-      uncovered := !uncovered - gain.(b);
-      gain.(b) <- 0;
-      chosen.(b) <- true;
-      cover := Iset.add b !cover;
-      Iset.iter
-        (fun u -> if not chosen.(u) then gain.(u) <- gain.(u) - 1)
-        t.adj.(b)
-    done;
-    Iset.elements !cover
-end
-
 (* Lower bound for branch and bound: a greedy matching on the uncovered
    edges; any cover pays at least min(w(u), w(v)) per matching edge, and the
    matched edges are disjoint. *)

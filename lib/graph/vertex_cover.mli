@@ -13,7 +13,8 @@ val is_cover : Graph.t -> int list -> bool
 val approx2 : Graph.t -> int list
 
 (** [greedy g] is the classic max-degree-first heuristic cover (no ratio
-    guarantee for weighted instances; useful as a bound seed). *)
+    guarantee for weighted instances). {!exact} starts from it as its
+    incumbent. *)
 val greedy : Graph.t -> int list
 
 (** [exact ?budget ?matching_bound g] is a minimum-weight vertex cover, by
@@ -30,50 +31,6 @@ val exact :
 
 (** [cover_weight g vs] sums the cover's vertex weights. *)
 val cover_weight : Graph.t -> int list -> float
-
-(** Dynamic companion to {!greedy}: a growable graph absorbing vertex and
-    edge insertions/deletions with O(deg) state repair, whose {!Incremental.cover}
-    runs the batch greedy loop — same score, same strict first-best
-    tie-break, same ascending scan order — directly on the live state.
-
-    Slots are allocated in insertion order and never reused, so the alive
-    slots (ascending) are order-isomorphic to the dense vertex ids of a
-    graph built fresh from the survivors: [cover] equals {!greedy} on
-    {!Incremental.to_graph} modulo the slot <-> dense renaming. This is
-    the edge-delta store behind streaming conflict-graph maintenance
-    ({!Repair_stream}). *)
-module Incremental : sig
-  type t
-
-  val create : unit -> t
-
-  (** [add_vertex t ~weight] allocates the next slot (0, 1, 2, ...).
-      @raise Invalid_argument if [weight <= 0]. *)
-  val add_vertex : t -> weight:float -> int
-
-  (** [remove_vertex t v] kills slot [v] and drops its incident edges.
-      The slot is never reused. *)
-  val remove_vertex : t -> int -> unit
-
-  (** [add_edge t u v] — idempotent, undirected, no self-loops. *)
-  val add_edge : t -> int -> int -> unit
-
-  (** [remove_edge t u v] — a no-op when the edge is absent. *)
-  val remove_edge : t -> int -> int -> unit
-
-  val n_alive : t -> int
-  val n_edges : t -> int
-  val mem_vertex : t -> int -> bool
-  val degree : t -> int -> int
-  val weight : t -> int -> float
-
-  (** [to_graph t] densifies the alive slots (ascending) into a fresh
-      {!Graph.t}; the array maps dense index -> slot. *)
-  val to_graph : t -> Graph.t * int array
-
-  (** [cover t] is {!greedy} of the live graph, as slot ids (ascending). *)
-  val cover : t -> int list
-end
 
 (** [matching_lower_bound g] — the greedy-matching bound used inside
     {!exact}: the sum of [min(w u, w v)] over a maximal matching. *)

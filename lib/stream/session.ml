@@ -18,20 +18,21 @@
    and blocks never interact below the top-level combine. An insert or
    delete therefore perturbs exactly one block — re-solve it, reuse
    every other block's cached result verbatim, and recombine them with
-   [Opt_s_repair.combine], exactly as the batch top level does. The
-   hard side of the dichotomy has no such decomposition (minimum vertex
-   cover is global), so hard sessions maintain the conflict graph
-   incrementally instead and re-run the cover per summary. *)
+   [Opt_s_repair.combine], exactly as the batch top level does. Only
+   the polynomial side has that partition: on the hard side a repair is
+   a global vertex cover (Prop. 3.3). Trivial and Hard sessions
+   therefore keep no solver state; a summary runs, on the materialized
+   table, the function the driver's Auto ladder runs for that Δ. *)
 
 open Repair_relational
 open Repair_fd
 open Repair_runtime
 module Metrics = Repair_obs.Metrics
 module Cache = Repair_serve.Cache
-module Cg = Repair_srepair.Conflict_graph
 module Osr = Repair_srepair.Opt_s_repair
+module S_exact = Repair_srepair.S_exact
+module S_approx = Repair_srepair.S_approx
 module Simplify = Repair_dichotomy.Simplify
-module Vc = Repair_graph.Vertex_cover
 module Iset = Set.Make (Int)
 
 module Tmap = Map.Make (struct
@@ -46,7 +47,7 @@ type poly = {
   smaller : Fd_set.t; (* residual FD set inside a block *)
 }
 
-type mode = Trivial | Poly of poly | Hard of Cg.Incremental.t
+type mode = Trivial | Poly of poly | Hard
 
 (* A block's alive members: store positions, ascending, and their ids.
    Positions ascend in id order, so [ids] ascends too. Ids are never
@@ -71,7 +72,6 @@ type entry = {
 
 type t = {
   delta : Fd_set.t;
-  dt : Fd_set.t; (* remove_trivial delta *)
   schema : Schema.t;
   mode : mode;
   mutable work : Table.t;
@@ -109,8 +109,7 @@ let create ?(cache_capacity = default_cache_capacity) d base =
   let dt = Fd_set.remove_trivial d in
   let mode =
     if Fd_set.is_empty dt then Trivial
-    else if not (Simplify.succeeds d) then
-      Hard (Cg.Incremental.of_table d work)
+    else if not (Simplify.succeeds d) then Hard
     else
       match Simplify.step dt with
       | Some step ->
@@ -129,12 +128,11 @@ let create ?(cache_capacity = default_cache_capacity) d base =
           Tmap.add key { positions; ids } m)
         Tmap.empty
         (Table.View.groups work p.part)
-    | Trivial | Hard _ -> Tmap.empty
+    | Trivial | Hard -> Tmap.empty
   in
   let t =
     {
       delta = d;
-      dt;
       schema;
       mode;
       work;
@@ -210,8 +208,7 @@ let apply_insert t ~id ~weight values =
   t.inserts <- t.inserts + 1;
   Metrics.incr "stream.inserts";
   match t.mode with
-  | Trivial -> ()
-  | Hard cg -> Cg.Incremental.insert cg ~id ~weight tuple
+  | Trivial | Hard -> ()
   | Poly p ->
     (* The new row is the store tip: the highest position and id. *)
     let key = Tuple.project t.schema tuple p.part in
@@ -235,8 +232,7 @@ let apply_delete t id =
     t.deletes <- t.deletes + 1;
     Metrics.incr "stream.deletes";
     match t.mode with
-    | Trivial -> ()
-    | Hard cg -> Cg.Incremental.delete cg id
+    | Trivial | Hard -> ()
     | Poly p ->
       let key = Tuple.project t.schema (Table.View.tuple t.work pos) p.part in
       let b = Tmap.find key t.blocks in
@@ -307,13 +303,17 @@ let summary t =
     { result; distance = Table.dist_sub result m; optimal; ratio; method_used }
   in
   match t.mode with
+  (* Trivial and Hard: the driver's Auto-ladder rung for Δ, run cold on
+     the materialized table — its spans, counters and method. *)
   | Trivial ->
-    let result =
-      Metrics.with_span "opt-s-repair" (fun () ->
-          Budget.tick ~phase:"opt-s-repair" budget;
-          m)
-    in
-    finish ~optimal:true ~ratio:1.0 ~method_used:Osr.method_name result
+    finish ~optimal:true ~ratio:1.0 ~method_used:Osr.method_name
+      (Osr.run_exn ~budget t.delta m)
+  | Hard when Table.size m <= S_exact.size_limit ->
+    finish ~optimal:true ~ratio:1.0 ~method_used:S_exact.method_name
+      (S_exact.optimal ~budget t.delta m)
+  | Hard ->
+    finish ~optimal:false ~ratio:2.0 ~method_used:S_approx.method_name
+      (S_approx.approx2 t.delta m)
   | Poly p ->
     let result =
       Metrics.with_span "opt-s-repair" (fun () ->
@@ -336,25 +336,6 @@ let summary t =
                 |> Osr.combine t.schema p.step))
     in
     finish ~optimal:true ~ratio:1.0 ~method_used:Osr.method_name result
-  | Hard cg ->
-    if Table.size m <= Repair_srepair.S_exact.size_limit then
-      let result =
-        Metrics.with_span "s-exact" (fun () ->
-            let dense = Cg.Incremental.materialize cg in
-            let cover = Vc.exact ~budget (Cg.graph dense) in
-            Cg.delete_cover dense m cover)
-      in
-      finish ~optimal:true ~ratio:1.0
-        ~method_used:Repair_srepair.S_exact.method_name result
-    else
-      let result =
-        Metrics.with_span "s-approx" (fun () ->
-            let dense = Cg.Incremental.materialize cg in
-            let cover = Vc.approx2 (Cg.graph dense) in
-            Cg.delete_cover dense m cover)
-      in
-      finish ~optimal:false ~ratio:2.0
-        ~method_used:Repair_srepair.S_approx.method_name result
 
 type stats = {
   ticks : int;
@@ -364,7 +345,6 @@ type stats = {
   summaries : int;
   live : int;
   blocks : int;
-  conflicts : int option;
   cache : Cache.stats;
 }
 
@@ -377,9 +357,5 @@ let stats (t : t) =
     summaries = t.summaries;
     live = size t;
     blocks = Tmap.cardinal t.blocks;
-    conflicts =
-      (match t.mode with
-      | Hard cg -> Some (Cg.Incremental.n_conflicts cg)
-      | Trivial | Poly _ -> None);
     cache = Cache.stats t.bcache;
   }

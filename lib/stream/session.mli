@@ -4,18 +4,22 @@
     ({!Repair_dichotomy.Simplify.step} finds the first simplification,
     whose {!Repair_dichotomy.Simplify.partition} attribute set splits the
     table into blocks that never interact, so locality is sound), or
-    hard (no decomposition
-    exists; the conflict graph is maintained incrementally instead).
-    [tick] applies one {!Delta.t} at O(affected-group) cost: inserts
-    extend the store tip, deletes tombstone a position, and on the
-    polynomial side exactly the touched block is marked dirty —
-    re-solved lazily at the next [summary], every clean block served
-    from a cache keyed by the block's member ids. [summary] replays the
-    blocks' captured metrics and budget steps in block order and
-    recombines their repairs with {!Repair_srepair.Opt_s_repair.combine},
-    the function a batch run uses, into a report that is byte-identical
-    — result table, distance, method, and integer metrics modulo the
-    [stream.*] counters — to a from-scratch driver run on
+    hard (no decomposition exists). [tick] applies one {!Delta.t} at
+    O(affected-group) cost: inserts extend the store tip, deletes
+    tombstone a position, and on the polynomial side exactly the touched
+    block is marked dirty — re-solved lazily at the next [summary], every
+    clean block served from a cache keyed by the block's member ids.
+    There, [summary] replays the blocks' captured metrics and budget
+    steps in block order and recombines their repairs with
+    {!Repair_srepair.Opt_s_repair.combine}, the function a batch run
+    uses. Trivial and hard sessions keep no solver state: their
+    [summary] runs, on {!materialized}, the solver the driver's Auto
+    ladder picks for Δ — {!Repair_srepair.Opt_s_repair.run} for a
+    trivial Δ; on the hard side {!Repair_srepair.S_exact.optimal} up to
+    {!Repair_srepair.S_exact.size_limit} rows and
+    {!Repair_srepair.S_approx.approx2} above. Either way the report is
+    byte-identical — result table, distance, method, and integer metrics
+    modulo the [stream.*] counters — to a from-scratch driver run on
     {!materialized}.
 
     Metrics caveat: a block result captures its metrics when it is
@@ -68,6 +72,10 @@ val schema : t -> Schema.t
 (** Live row count (inserts applied, tombstones excluded). *)
 val size : t -> int
 
+(** Session counters: accepted ([ticks] = [inserts] + [deletes]) and
+    refused ([rejects]) deltas, summaries, live rows, and the polynomial
+    mode's blocks and block cache. A trivial or hard session keeps no
+    solver state, so its [blocks] is 0 and its cache stays empty. *)
 type stats = {
   ticks : int;
   inserts : int;
@@ -76,7 +84,6 @@ type stats = {
   summaries : int;
   live : int;
   blocks : int; (* live blocks; 0 outside the polynomial mode *)
-  conflicts : int option; (* live conflict count; hard mode only *)
   cache : Repair_serve.Cache.stats;
 }
 

@@ -208,6 +208,34 @@ let prop_lp_exact_on_bipartite =
       let opt = Vertex_cover.cover_weight g (Vertex_cover.exact g) in
       Float.abs (lp -. opt) < 1e-6)
 
+(* ---------- 2-approximation past the exact solver's reach ---------- *)
+
+(* The local-ratio payments form a feasible edge packing, so they sum to
+   at most the LP bound (weak duality), and Bar-Yehuda–Even's cover
+   weighs at most twice them: LP ≤ approx2 ≤ 2·LP. This checks
+   Proposition 3.3's factor on weighted graphs of up to 150 vertices,
+   where the exact comparison of "2-approx bound" cannot run. *)
+let prop_approx2_within_twice_lp =
+  qcheck ~count:40 "local-ratio cover within twice the LP bound"
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Repair_workload.Rng.make seed in
+      let n = Repair_workload.Rng.in_range rng 40 150 in
+      let g = random_graph rng n 0.08 in
+      (* Light and heavy vertices: a weight-blind cover, such as both
+         endpoints of a maximal matching, overshoots 2·LP here. *)
+      let weight _ =
+        float_of_int
+          (if Repair_workload.Rng.bool rng then
+             Repair_workload.Rng.in_range rng 1 5
+           else Repair_workload.Rng.in_range rng 20 100)
+      in
+      let g = Graph.of_edges ~weights:(Array.init n weight) n (Graph.edges g) in
+      let apx = Vertex_cover.approx2 g in
+      let w = Vertex_cover.cover_weight g apx in
+      let lp = Vertex_cover.lp_lower_bound g in
+      Vertex_cover.is_cover g apx && lp <= w +. 1e-6 && w <= (2.0 *. lp) +. 1e-6)
+
 (* ---------- Bipartite matching ---------- *)
 
 let test_matching_known () =
@@ -296,88 +324,6 @@ let prop_packing_greedy_vs_exact =
       && List.length greedy <= List.length exact
       && 3 * List.length greedy >= List.length exact)
 
-(* ---------- incremental vertex cover (DESIGN §16) ---------- *)
-
-module Vci = Vertex_cover.Incremental
-
-(* The stream layer's identity contract leans on this: after ANY edit
-   script the maintained structure must hand back exactly the cover a
-   fresh greedy run computes on the densified live graph. *)
-let incremental_matches_fresh t =
-  let g, map = Vci.to_graph t in
-  Vci.cover t = List.map (fun i -> map.(i)) (Vertex_cover.greedy g)
-
-let test_vc_incremental_edge_deletion () =
-  let t = Vci.create () in
-  let v =
-    Array.init 6 (fun k -> Vci.add_vertex t ~weight:(float_of_int (1 + (k mod 3))))
-  in
-  (* path v0 - v1 - v2 - v3 - v4 - v5 *)
-  for k = 0 to 4 do
-    Vci.add_edge t v.(k) v.(k + 1)
-  done;
-  Alcotest.(check bool) "path cover matches" true (incremental_matches_fresh t);
-  Vci.remove_edge t v.(2) v.(3);
-  Alcotest.(check bool)
-    "after interior edge deletion" true (incremental_matches_fresh t);
-  (* deleting an absent edge is a no-op; re-adding restores the gain
-     state; an endpoint deletion then perturbs a degree-1 vertex *)
-  Vci.remove_edge t v.(2) v.(3);
-  Vci.add_edge t v.(2) v.(3);
-  Vci.remove_edge t v.(0) v.(1);
-  Alcotest.(check bool)
-    "after re-add + endpoint deletion" true (incremental_matches_fresh t);
-  Alcotest.(check int) "edge count tracks" 4 (Vci.n_edges t);
-  for k = 0 to 4 do
-    Vci.remove_edge t v.(k) v.(k + 1)
-  done;
-  Alcotest.(check (list int)) "no edges, empty cover" [] (Vci.cover t)
-
-let test_vc_incremental_remove_vertex () =
-  let t = Vci.create () in
-  let a = Vci.add_vertex t ~weight:1.0 in
-  let b = Vci.add_vertex t ~weight:2.0 in
-  let c = Vci.add_vertex t ~weight:3.0 in
-  Vci.add_edge t a b;
-  Vci.add_edge t b c;
-  Vci.remove_vertex t b;
-  Alcotest.(check int) "incident edges dropped" 0 (Vci.n_edges t);
-  Alcotest.(check bool) "vertex gone" false (Vci.mem_vertex t b);
-  Alcotest.(check (list int)) "cover empty" [] (Vci.cover t);
-  Alcotest.(check int) "slots never reused" 3 (Vci.add_vertex t ~weight:1.0)
-
-let prop_vc_incremental_interleavings =
-  qcheck ~count:300
-    "incremental cover = fresh greedy after every step of a random script"
-    QCheck2.Gen.(int_range 0 1_000_000)
-    (fun seed ->
-      let rng = Repair_workload.Rng.make seed in
-      let t = Vci.create () in
-      let alive = ref [] in
-      let ok = ref true in
-      let steps = 5 + Repair_workload.Rng.int rng 45 in
-      for _ = 1 to steps do
-        (match Repair_workload.Rng.int rng 5 with
-        | 0 | 1 ->
-          let w = float_of_int (1 + Repair_workload.Rng.int rng 5) in
-          alive := Vci.add_vertex t ~weight:w :: !alive
-        | 2 when List.length !alive >= 2 ->
-          let u = Repair_workload.Rng.pick rng !alive in
-          let v = Repair_workload.Rng.pick rng !alive in
-          if u <> v then Vci.add_edge t u v
-        | 3 when List.length !alive >= 2 ->
-          let u = Repair_workload.Rng.pick rng !alive in
-          let v = Repair_workload.Rng.pick rng !alive in
-          if u <> v then Vci.remove_edge t u v
-        | 4 when !alive <> [] ->
-          let v = Repair_workload.Rng.pick rng !alive in
-          Vci.remove_vertex t v;
-          alive := List.filter (fun x -> x <> v) !alive
-        | _ -> ());
-        ok := !ok && incremental_matches_fresh t
-      done;
-      !ok)
-
 let () =
   Alcotest.run "graph"
     [ ( "graph",
@@ -396,6 +342,7 @@ let () =
           Alcotest.test_case "lp bound known" `Quick test_lp_bound_known;
           prop_lp_bound_sandwich;
           prop_lp_exact_on_bipartite ] );
+      ("2-approximation at scale", [ prop_approx2_within_twice_lp ]);
       ( "matching",
         [ Alcotest.test_case "known" `Quick test_matching_known;
           Alcotest.test_case "rectangular" `Quick test_matching_rectangular;
@@ -405,10 +352,4 @@ let () =
         [ Alcotest.test_case "enumerate" `Quick test_triangle_enumerate;
           Alcotest.test_case "packing" `Quick test_triangle_packing;
           Alcotest.test_case "tripartite check" `Quick test_tripartite_validation;
-          prop_packing_greedy_vs_exact ] );
-      ( "incremental vertex cover",
-        [ Alcotest.test_case "edge deletions rebuild gains" `Quick
-            test_vc_incremental_edge_deletion;
-          Alcotest.test_case "vertex removal drops incident edges" `Quick
-            test_vc_incremental_remove_vertex;
-          prop_vc_incremental_interleavings ] ) ]
+          prop_packing_greedy_vs_exact ] ) ]

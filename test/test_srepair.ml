@@ -139,10 +139,9 @@ let test_conflict_graph () =
   Alcotest.(check int) "two conflict edges" 2 (Conflict_graph.n_conflicts cg);
   let g = Conflict_graph.graph cg in
   Alcotest.(check int) "four vertices" 4 (Repair_graph.Graph.n_vertices g);
-  (* vertex weights come from tuples *)
-  let v1 = Conflict_graph.vertex_of_id cg 1 in
-  check_float "weight carried" 2.0 (Repair_graph.Graph.weight g v1);
-  Alcotest.(check int) "roundtrip id" 1 (Conflict_graph.id_of_vertex cg v1)
+  (* vertex v is the v-th row in id order; weights come from tuples *)
+  check_float "weight carried" 2.0 (Repair_graph.Graph.weight g 0);
+  Alcotest.(check int) "vertex 0 is id 1" 1 (Conflict_graph.id_of_vertex cg 0)
 
 (* [build] groups on lhs projections; [build_naive] tests every pair
    against every FD. Both must yield the same vertices (ids and weights)
