@@ -182,23 +182,50 @@ let read_file path =
         in
         go ())
 
+(* Where [write_file_atomic] may put a new file in place by rename: an
+   absent path or a regular file is replaced; a symlink is followed to
+   the regular file it resolves to, so the link itself survives. Any
+   other existing file — a character device such as /dev/null, a FIFO,
+   a socket, a directory, a dangling link — is [None]: it is not ours to
+   replace, and it is written in place. *)
+let rename_target path =
+  match Unix.lstat path with
+  | exception Unix.Unix_error _ -> Some path
+  | { Unix.st_kind = Unix.S_REG; _ } -> Some path
+  | { Unix.st_kind = Unix.S_LNK; _ } -> (
+    match Unix.stat path with
+    | { Unix.st_kind = Unix.S_REG; _ } -> Some (Unix.realpath path)
+    | _ | (exception Unix.Unix_error _) -> None)
+  | _ -> None
+
 let write_file_atomic path text =
   let io detail = Repair_error.raise_error (Io { file = path; detail }) in
-  let tmp = path ^ ".tmp" in
-  match
-    Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-  with
-  | exception Unix.Unix_error (e, _, _) -> io (Unix.error_message e)
-  | fd ->
-    (match
-       Fun.protect
-         ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-         (fun () ->
-           write_all fd (Bytes.of_string text);
-           fsync fd)
-     with
+  let fill ?(sync = true) fd =
+    match
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          write_all fd (Bytes.of_string text);
+          if sync then fsync fd)
+    with
     | () -> ()
-    | exception Unix.Unix_error (e, _, _) -> io (Unix.error_message e));
-    (match rename tmp path with
-    | () -> ()
-    | exception Unix.Unix_error (e, _, _) -> io (Unix.error_message e))
+    | exception Unix.Unix_error (e, _, _) -> io (Unix.error_message e)
+  in
+  match rename_target path with
+  | None -> (
+    (* No fsync: a device or a pipe has nothing to make durable, and
+       fsync on one fails with EINVAL. *)
+    match Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 with
+    | exception Unix.Unix_error (e, _, _) -> io (Unix.error_message e)
+    | fd -> fill ~sync:false fd)
+  | Some target -> (
+    let tmp = target ^ ".tmp" in
+    match
+      Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+    with
+    | exception Unix.Unix_error (e, _, _) -> io (Unix.error_message e)
+    | fd -> (
+      fill fd;
+      match rename tmp target with
+      | () -> ()
+      | exception Unix.Unix_error (e, _, _) -> io (Unix.error_message e)))

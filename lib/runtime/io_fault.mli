@@ -107,6 +107,15 @@ val read_file : string -> string
     closed, then renamed over [path]. Readers of [path] observe either
     the old contents or the complete new contents — never a torn
     intermediate state; a {!Crash} at any step leaves [path] untouched.
+
+    Only a file this function may replace is renamed over: [path] when
+    it is absent or a regular file. A symlink is followed: when it
+    resolves to a regular file, that file is replaced the same way (the
+    temporary file sits next to it) and the link is kept. Any other
+    existing file — a character device such as [/dev/null], a FIFO, a
+    socket, a dangling link — is opened and written in place, without
+    the temporary file or the fsync, so [-o /dev/null] never turns the
+    device into a regular file.
     @raise Repair_error.Error [(Io _)] on any [Unix_error] (after
     [EINTR] retry). *)
 val write_file_atomic : string -> string -> unit
