@@ -922,4 +922,55 @@ module View = struct
            let witness = tbl.store.tuples.(rows.(idxs.(0))) in
            (Tuple.project tbl.schema witness x, idxs))
     |> List.sort (fun (k1, _) (k2, _) -> Tuple.compare k1 k2)
+
+  (* Open addressing over class numbers: a slot holds the class whose
+     key is (its old class, the codes of its first row), so a probe
+     compares in place and no key is ever built. *)
+  let refine tbl classes x =
+    let n = size tbl in
+    if Array.length classes <> n then
+      invalid_arg "Table.View.refine: one class per visible position";
+    let cols = Array.map (fun c -> tbl.store.codes.(c)) (cols_of tbl x) in
+    let k = Array.length cols in
+    let cap = ref 16 in
+    while !cap < 2 * n do
+      cap := 2 * !cap
+    done;
+    let mask = !cap - 1 in
+    let slots = Array.make !cap (-1) in
+    let first_row = Array.make (max n 1) 0 in
+    let old_class = Array.make (max n 1) 0 in
+    let out = Array.make n 0 in
+    let count = ref 0 in
+    for p = 0 to n - 1 do
+      let r = row_at tbl p and c = classes.(p) in
+      let h = ref c in
+      for i = 0 to k - 1 do
+        h := (!h * 0x100000001b3) lxor cols.(i).(r)
+      done;
+      let h = !h * 0x2545F4914F6CDD1D in
+      let s = ref ((h lxor (h lsr 31)) land mask) in
+      let found = ref (-1) in
+      while !found < 0 do
+        let g = slots.(!s) in
+        if g < 0 then begin
+          let g = !count in
+          incr count;
+          slots.(!s) <- g;
+          first_row.(g) <- r;
+          old_class.(g) <- c;
+          found := g
+        end
+        else if
+          old_class.(g) = c
+          &&
+          let r' = first_row.(g) in
+          let rec same i = i >= k || (cols.(i).(r') = cols.(i).(r) && same (i + 1)) in
+          same 0
+        then found := g
+        else s := (!s + 1) land mask
+      done;
+      out.(p) <- !found
+    done;
+    (out, !count)
 end

@@ -280,4 +280,16 @@ module View : sig
       distinct key (sorted) paired with the visible positions of its
       rows (increasing). *)
   val groups : t -> Attr_set.t -> (Tuple.t * int array) list
+
+  (** [refine tbl classes x] splits a partition of the visible
+      positions by the projection on [x]. [classes.(k)] is the class of
+      position [k]; the result gives each position its new class — the
+      positions with the same old class and the same projection on [x]
+      — numbered 0, 1, … in order of first position, together with the
+      class count. One hash pass over the interned code columns: no key
+      is built, and the work and memory are O([length tbl]) whatever
+      the size of the value pool.
+      @raise Invalid_argument unless [classes] has one entry per
+      visible position. *)
+  val refine : t -> int array -> Attr_set.t -> int array * int
 end

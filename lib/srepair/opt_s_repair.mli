@@ -20,11 +20,29 @@
     the result is an optimal S-repair (Theorem 3.2), and the run takes
     polynomial time even under combined complexity.
 
-    {!fold} is the one recursion of the algorithm: {!run} and
-    {!solve_block} are that fold with {!combine}, and
-    [Repair_enumerate.Count] folds (weight, count) pairs over it.
-    Streaming maintenance (DESIGN §16) applies {!span_name} and
-    {!combine} to cached block repairs. *)
+    {b Plan executor.} The step taken depends on Δ only, so every block
+    at one depth takes the same step, and {!Repair_dichotomy.Simplify.run}'s
+    trace of a block's residual Δ is a plan for the whole block. The top
+    level of {!run} and {!fold} groups the table once on the first
+    step's partition, solves the blocks — as independent tasks under a
+    wide runner — and combines them with {!combine}. Below it, each
+    block runs its plan: one {!Table.View.refine} pass per depth numbers
+    that depth's blocks, and the steps then apply bottom-up to a bitmap
+    of kept rows, which becomes one {!Table.View.of_positions}. Nothing
+    below the top level builds a sub-table or a union, or opens a span.
+    The choices are exactly {!combine}'s, which shares its subroutine
+    definitions with the executor: block weights are summed over the
+    kept rows in id order, consensus keeps the first heaviest block in
+    key order, and marriage numbers the blocks in key order
+    ([Tuple.compare] on the projection, the order of {!Table.group_by}).
+
+    The budget ticks once per block of every depth as the blocks are
+    numbered — one tick per node of Algorithm 1's recursion, so step
+    budgets, deadlines and fault checkpoints cut a run after as many
+    steps as the recursion took. [Repair_enumerate.Count] folds
+    (weight, count) pairs over the same levels with {!fold}. Streaming
+    maintenance (DESIGN §16) applies {!span_name} and {!combine} to
+    cached {!solve_block} repairs. *)
 
 open Repair_relational
 open Repair_fd
@@ -50,15 +68,16 @@ val combine :
 
 (** [run ?budget ?runner d tbl] executes OptSRepair. [Ok s] is an
     optimal S-repair; [Error stuck] reports the simplified-but-nontrivial
-    FD set on which the algorithm got stuck. Every recursive
-    simplification step is a [budget] checkpoint (phase
-    ["opt-s-repair"]); exhaustion raises
-    {!Repair_runtime.Repair_error.Budget_exhausted}.
+    FD set on which the algorithm got stuck. Every block of every depth
+    is a [budget] checkpoint (phase ["opt-s-repair"]); exhaustion raises
+    {!Repair_runtime.Repair_error.Budget_exhausted}. The spans are
+    ["opt-s-repair"] and, below it, the top-level step's
+    ({!span_name}): one each per run.
 
     A [runner] wider than 1 chunks the top-level grouping pass and
     solves the top-level blocks as independent tasks through
-    {!Table.fold_budgeted}; each block's own recursion stays sequential
-    inside its task. Results are bit-identical at any width —
+    {!Table.fold_budgeted}; each block's plan runs sequentially inside
+    its task. Results are bit-identical at any width —
     distances, block unions, metrics counters and tick totals — because
     blocks combine in group order and worker metrics merge exactly. A
     limited [budget] keeps every block inline, so exhaustion points are
@@ -87,11 +106,12 @@ val distance :
     dichotomy. [run] turns it into [Error]. *)
 exception Stuck of Fd_set.t
 
-(** [fold ~leaf ~combine ?budget ?runner d tbl] runs Algorithm 1's
-    recursion, carrying a value of any type: a block whose residual FD
-    set is trivial (or empty, on an empty table) is [leaf block], and the
-    solved blocks of each step are combined by [combine schema step
-    blocks], in group order, as for {!combine}. Ticks, spans and the
+(** [fold ~leaf ~combine ?budget ?runner d tbl] runs Algorithm 1 over
+    the plan's levels, carrying a value of any type: a block whose
+    residual FD set is trivial (or empty, on an empty table) is [leaf
+    block], a sub-view of [tbl], and at every depth the blocks inside
+    one enclosing block are combined by [combine schema step blocks], in
+    group order, as for {!combine}. Ticks, the top-level span and the
     top-level fan-out are those of {!run}, without its
     ["opt-s-repair"] span.
     @raise Stuck on the hard side, the empty table included. *)
@@ -108,11 +128,12 @@ val fold :
   Table.t ->
   'a
 
-(** [solve_block ?budget d tbl] is the raw recursive solve on one block:
-    exactly the computation a batch [run] performs on a sub-table under a
-    residual FD set, including its spans and budget ticks, but without
-    the top-level ["opt-s-repair"] span. Streaming maintenance (DESIGN
-    §16) uses it to (re)solve a single dirty block.
+(** [solve_block ?budget d tbl] runs the plan of [d] on one block: the
+    plan executor a batch [run] applies to each top-level block under
+    the residual FD set, with the same budget ticks. It opens no span.
+    Streaming maintenance (DESIGN §16) uses it to (re)solve a single
+    dirty block. Its work and memory are O(|tbl|) per plan depth,
+    whatever the size of the table's store or value pool.
     @raise Stuck on the hard side. *)
 val solve_block :
   ?budget:Repair_runtime.Budget.t -> Fd_set.t -> Table.t -> Table.t

@@ -310,3 +310,116 @@ module Seed_csv = struct
       tbl;
     Buffer.contents buf
 end
+
+(* ---------- OptSRepair as a per-node recursion ---------- *)
+
+(* Algorithm 1 as the recursion the plan executor replaced, kept as the
+   differential oracle of [Opt_s_repair.run], [solve_block] and
+   [Count]: every node ticks the budget, re-derives its step, groups
+   its block with [Table.group_by], solves each group and combines the
+   block repairs. Sequential, and without spans. *)
+module Recursive_osr = struct
+  module Simplify = Repair_dichotomy.Simplify
+  module Budget = Repair_runtime.Budget
+
+  exception Stuck = Repair_srepair.Opt_s_repair.Stuck
+
+  let matching schema x1 x2 blocks =
+    let module Tmap = Map.Make (struct
+      type t = Tuple.t
+
+      let compare = Tuple.compare
+    end) in
+    let blocks =
+      List.map
+        (fun (witness, s) ->
+          (Tuple.project schema witness x1, Tuple.project schema witness x2, s))
+        blocks
+    in
+    let number side =
+      List.fold_left
+        (fun (next, m) key ->
+          if Tmap.mem key m then (next, m) else (next + 1, Tmap.add key next m))
+        (0, Tmap.empty) side
+      |> snd
+    in
+    let v1 = number (List.map (fun (a1, _, _) -> a1) blocks) in
+    let v2 = number (List.map (fun (_, a2, _) -> a2) blocks) in
+    let n1 = Tmap.cardinal v1 and n2 = Tmap.cardinal v2 in
+    let weights = Array.make_matrix n1 n2 0.0 in
+    let repair_of = Hashtbl.create 16 in
+    List.iter
+      (fun (a1, a2, s) ->
+        let i = Tmap.find a1 v1 and j = Tmap.find a2 v2 in
+        weights.(i).(j) <- Table.total_weight s;
+        Hashtbl.replace repair_of (i, j) s)
+      blocks;
+    let matched, _ = Repair_graph.Bipartite_matching.solve weights in
+    Table.union_all schema (List.filter_map (Hashtbl.find_opt repair_of) matched)
+
+  let combine schema step blocks =
+    match step with
+    | Simplify.Common_lhs _ -> Table.union_all schema (List.map snd blocks)
+    | Consensus _ -> (
+      match blocks with
+      | [] -> Table.empty schema
+      | (_, first) :: rest ->
+        List.fold_left
+          (fun best (_, s) ->
+            if Table.total_weight s > Table.total_weight best then s else best)
+          first rest)
+    | Marriage (x1, x2) -> matching schema x1 x2 blocks
+
+  let fold ~leaf ~combine ?(budget = Budget.unlimited ()) d tbl =
+    let rec solve delta tbl =
+      Budget.tick ~phase:"opt-s-repair" budget;
+      let delta = Fd_set.remove_trivial delta in
+      if Fd_set.is_empty delta then leaf tbl
+      else if Table.is_empty tbl then (
+        match Simplify.run delta with
+        | Simplify.Hard stuck, _ -> raise (Stuck stuck)
+        | Simplify.Tractable, _ -> leaf tbl)
+      else
+        match Simplify.step delta with
+        | None -> raise (Stuck delta)
+        | Some s ->
+          let x = Simplify.partition s in
+          let smaller = Fd_set.minus delta x in
+          Table.group_by tbl x
+          |> List.map (fun (_, sub) ->
+                 (Table.View.tuple sub 0, solve smaller sub))
+          |> combine (Table.schema tbl) s
+    in
+    solve d tbl
+
+  let run ?budget d tbl =
+    match fold ~leaf:Fun.id ~combine ?budget d tbl with
+    | s -> Ok s
+    | exception Stuck stuck -> Error stuck
+
+  (* [Count]'s (optimal weight, number of optima) pairs over the same
+     recursion; lhs marriages are refused before it runs. *)
+  let count d tbl =
+    let sat_mul a b =
+      if a = 0 || b = 0 then 0 else if a > max_int / b then max_int else a * b
+    in
+    let sat_add a b = if a > max_int - b then max_int else a + b in
+    let combine _ step blocks =
+      match step with
+      | Simplify.Common_lhs _ ->
+        List.fold_left
+          (fun (w, c) (_, (w', c')) -> (w +. w', sat_mul c c'))
+          (0.0, 1) blocks
+      | Consensus _ ->
+        let best =
+          List.fold_left (fun acc (_, (w, _)) -> max acc w) 0.0 blocks
+        in
+        ( best,
+          List.fold_left
+            (fun acc (_, (w, c)) ->
+              if w >= best -. 1e-9 then sat_add acc c else acc)
+            0 blocks )
+      | Marriage _ -> invalid_arg "Recursive_osr.count: lhs marriage"
+    in
+    fold ~leaf:(fun t -> (Table.total_weight t, 1)) ~combine d tbl
+end

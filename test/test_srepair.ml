@@ -251,6 +251,116 @@ let prop_brute_vs_vc =
       consistent_distance_eq (S_exact.distance d t)
         (Table.dist_sub (S_exact.brute_force d t) t))
 
+(* ---------- the plan executor against the per-node recursion ---------- *)
+
+module Budget = Repair_runtime.Budget
+module Count = Repair_enumerate.Count
+
+(* Chain, consensus and marriage Δs, mixed ones that take all three
+   steps, and hard ones (stuck at the top or below it). *)
+let plan_deltas =
+  List.map Fd_set.parse
+    [ "A -> B; A B -> C; A B C -> D";
+      "A -> B; A C -> D";
+      "-> A; B -> C";
+      "-> A B; C -> D";
+      "A -> B; B -> A; B -> C";
+      "A -> B; B -> A";
+      "-> D; A -> B; B -> A";
+      "C -> D; C A -> B; C B -> A";
+      "A -> B; A C -> D; A D -> C";
+      "A -> B; B -> C";
+      "A -> A; C -> B; B -> D";
+      "-> A; B -> C; B D -> A" ]
+
+let plan_schema = Schema.make "R" [ "A"; "B"; "C"; "D" ]
+
+(* Fractional weights whose sums depend on their order ((0.1 + 0.2) +
+   0.3 > 0.6 = 0.3 + 0.2 + 0.1), or unit weights, where ties between
+   blocks are the rule. Ids arrive shuffled and with gaps. *)
+let gen_plan_case =
+  let open QCheck2.Gen in
+  let* d = oneofl plan_deltas in
+  let* unit = bool in
+  let* n = int_range 0 40 in
+  let* rows =
+    list_repeat n
+      (pair
+         (list_repeat 4 (int_range 1 3))
+         (oneofl [ 0.1; 0.2; 0.3; 0.6 ]))
+  in
+  let* ids = shuffle_l (List.init n (fun k -> (3 * k) + 1)) in
+  let rows =
+    List.map2
+      (fun id (vs, w) ->
+        (id, (if unit then 1.0 else w), Tuple.make (List.map Value.int vs)))
+      ids rows
+  in
+  return (d, Table.of_list plan_schema rows)
+
+let print_plan_case (d, t) = Fmt.str "%a@.%a" Fd_set.pp d Table.pp t
+
+(* Same outcome and same ticks: the repair (or the stuck set) and the
+   budget steps spent. *)
+let same_outcome (r1, steps1) (r2, steps2) =
+  steps1 = steps2
+  &&
+  match (r1, r2) with
+  | Ok s1, Ok s2 -> Table.equal s1 s2 && Table.ids s1 = Table.ids s2
+  | Error d1, Error d2 -> Fd_set.equal_syntactic d1 d2
+  | _ -> false
+
+let with_steps f =
+  let budget = Budget.unlimited () in
+  let r =
+    match f budget with
+    | r -> r
+    | exception Opt_s_repair.Stuck d -> Error d
+  in
+  (r, Budget.steps budget)
+
+let wide = { Table.run = (fun tasks -> Array.map (fun f -> f ()) tasks); width = 2 }
+
+let prop_run_matches_recursion =
+  qcheck ~count:400 ~print:print_plan_case
+    "run, solve_block = the per-node recursion" gen_plan_case (fun (d, t) ->
+      let oracle = with_steps (fun budget -> Recursive_osr.run ~budget d t) in
+      same_outcome oracle (with_steps (fun budget -> Opt_s_repair.run ~budget d t))
+      && same_outcome oracle
+           (with_steps (fun budget -> Opt_s_repair.run ~budget ~runner:wide d t))
+      && same_outcome oracle
+           (with_steps (fun budget -> Ok (Opt_s_repair.solve_block ~budget d t))))
+
+let prop_count_matches_recursion =
+  qcheck ~count:400 ~print:print_plan_case "Count = the per-node recursion"
+    gen_plan_case (fun (d, t) ->
+      match Count.optimal_weight_and_count d t with
+      | Error _ -> true
+      | Ok (w, c) ->
+        let w', c' = Recursive_osr.count d t in
+        w = w' && c = c')
+
+(* A step budget cuts the executor where it cut the recursion: the same
+   budget raises, or lets the same repair through, in both. *)
+let prop_budget_cut_matches_recursion =
+  qcheck ~count:300
+    ~print:(fun (c, m) -> Fmt.str "%s@.max-steps %d" (print_plan_case c) m)
+    "max-steps cuts where the per-node recursion does"
+    QCheck2.Gen.(pair gen_plan_case (int_range 1 40))
+    (fun ((d, t), m) ->
+      let outcome f =
+        match f (Budget.create ~max_steps:m ()) with
+        | Ok s -> `Repair (Table.ids s)
+        | Error d -> `Stuck d
+        | exception Repair_runtime.Repair_error.Error e ->
+          `Error (Repair_runtime.Repair_error.class_name e)
+      in
+      let a = outcome (fun budget -> Recursive_osr.run ~budget d t) in
+      let b = outcome (fun budget -> Opt_s_repair.run ~budget d t) in
+      match (a, b) with
+      | `Stuck d1, `Stuck d2 -> Fd_set.equal_syntactic d1 d2
+      | _ -> a = b)
+
 let () =
   Alcotest.run "srepair"
     [ ( "figure 1",
@@ -279,4 +389,8 @@ let () =
           prop_office_family;
           prop_approx2_bound;
           prop_exact_consistent_all_fd_sets;
-          prop_brute_vs_vc ] ) ]
+          prop_brute_vs_vc ] );
+      ( "plan executor",
+        [ prop_run_matches_recursion;
+          prop_count_matches_recursion;
+          prop_budget_cut_matches_recursion ] ) ]
