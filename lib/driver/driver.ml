@@ -106,6 +106,14 @@ let s_repair_result ?pool ?(strategy = Auto) ?(budget = Budget.unlimited ())
            })
   in
   let exact () =
+    (* S_exact.optimal itself has no size gate (tests and the reduction
+       gadgets call it on larger graphs on purpose), so the rung gates
+       it, as Auto does. *)
+    let limit = Repair_srepair.S_exact.size_limit in
+    if Table.size tbl > limit then
+      Repair_error.raise_error
+        (Size_limit
+           { what = "S_exact.optimal"; limit; actual = Table.size tbl });
     s_report tbl
       (Repair_srepair.S_exact.optimal ~budget d tbl)
       ~optimal:true ~ratio:1.0 ~method_used:s_exact_name

@@ -61,10 +61,15 @@ val validate : Fd_set.t -> Table.t -> unit
     {!Repair_srepair.S_approx.approx2} — the report (distance, method,
     degraded flag, fallbacks) is bit-identical either way.
 
+    The exact rung refuses tables of more than
+    {!Repair_srepair.S_exact.size_limit} rows with [Size_limit], whether
+    [Exact] was asked for or Auto chose it; under [`Degrade] the
+    approximation then runs and the fallback is recorded.
+
     @raise Repair_runtime.Repair_error.Error with the error
     {!s_repair_result} returns: [Intractable] if [Poly] was requested on
-    the APX-hard side, [Budget_exhausted] under [`Fail], and the
-    {!validate} errors. *)
+    the APX-hard side, [Budget_exhausted] or [Size_limit] under [`Fail],
+    and the {!validate} errors. *)
 val s_repair :
   ?pool:Repair_par.Pool.t ->
   ?strategy:strategy ->

@@ -702,6 +702,39 @@ let test_batch_refused_inputs () =
   Alcotest.(check bool) "no null distance" true
     (List.for_all (fun j -> Json.member "distance" j <> Some Json.Null) jobs)
 
+(* The exact rung takes at most S_exact.size_limit rows even when a job
+   asks for it by name: under "fail" a larger hard table is quarantined
+   as size-limit, and under the default "degrade" it commits the
+   approximation. *)
+let test_batch_exact_size_limit () =
+  let dir = fresh_dir () in
+  let path name = Filename.concat dir name in
+  let rows =
+    List.init 65 (fun k -> Printf.sprintf "%d,%d,%d" (k mod 5) (k mod 3) (k mod 2))
+  in
+  write_file (path "hard.csv") (String.concat "\n" ("A,B,C" :: rows) ^ "\n");
+  let manifest =
+    M.parse_string
+      (Printf.sprintf
+         {|{ "jobs": [
+             { "id": "exact-fail", "input": "%s", "fds": "A -> B; B -> C",
+               "strategy": "exact", "on-budget": "fail" },
+             { "id": "exact-degrade", "input": "%s", "fds": "A -> B; B -> C",
+               "strategy": "exact" } ] }|}
+         (path "hard.csv") (path "hard.csv"))
+  in
+  let s = R.Batch.run ~journal:(path "j.jsonl") manifest in
+  Alcotest.(check (list (pair string string)))
+    "outcomes"
+    [ ("exact-fail", "size-limit"); ("exact-degrade", "committed") ]
+    (List.map
+       (fun (r : Runner.job_result) ->
+         ( r.job.id,
+           match r.state with
+           | Runner.Quarantined q -> q.error
+           | Runner.Committed _ -> "committed" ))
+       s.results)
+
 let () =
   Alcotest.run "batch"
     [ ( "manifest",
@@ -734,4 +767,6 @@ let () =
       ( "driver",
         [ Alcotest.test_case "end to end" `Quick test_batch_with_driver;
           Alcotest.test_case "refused inputs" `Quick
-            test_batch_refused_inputs ] ) ]
+            test_batch_refused_inputs;
+          Alcotest.test_case "exact size limit" `Quick
+            test_batch_exact_size_limit ] ) ]
