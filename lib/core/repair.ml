@@ -231,6 +231,14 @@ module Serve = struct
          executor. *)
       invalid_arg "Serve.exec: control op"
 
+  (* A connection's session goes when the connection does: cookies are
+     never reused, so a closed connection's session could only wait in
+     the LRU for its eviction. *)
+  let drop_session ~sessions ~mutex conn =
+    Mutex.lock mutex;
+    Fun.protect ~finally:(fun () -> Mutex.unlock mutex) @@ fun () ->
+    Cache.remove sessions conn
+
   let run ?config ?cache_capacity ?metrics_out ?slow_log ?trace_out
       ?(domains = 1) listen =
     let cache = make_cache ?capacity:cache_capacity () in
@@ -238,6 +246,9 @@ module Serve = struct
     let mutex = Mutex.create () in
     let serve ?pool () =
       Server.run ?config ?metrics_out ?slow_log ?trace_out ?pool
+        ~on_close:(drop_session ~sessions ~mutex)
+        ~gauges:(fun () ->
+          [ ("stream.sessions", float_of_int (Cache.length sessions)) ])
         ~on_invalidate:(fun () -> Cache.clear cache + Cache.clear sessions)
         ~exec:(fun ~conn ~degraded ~budget req ->
           exec ~cache ~sessions ~mutex ~conn ~degraded ~budget req)

@@ -170,7 +170,10 @@ module Serve : sig
 
   (** [run ?config ?cache_capacity ?metrics_out ?slow_log ?domains
       listen] is {!Server.run} with a fresh warm cache, a fresh stream
-      session registry, and {!exec}; [invalidate] requests clear both. [slow_log] is the
+      session registry, and {!exec}; [invalidate] requests clear both.
+      A connection's session is dropped when the connection closes
+      (after its last queued request), and the gauge [stream.sessions]
+      counts the resident sessions. [slow_log] is the
       slow-request record destination and [trace_out] the Chrome
       trace-event destination (see {!Server.run}). With [domains > 1]
       (default [1]) the serve owns a {!Par.Pool} for its lifetime and

@@ -78,11 +78,12 @@ type t = {
   mutable mode : [ `Accepting | `Draining ];
   on_invalidate : unit -> int;
   on_slow : Json.t -> unit;
+  gauges : unit -> (string * float) list;  (** the caller's gauges *)
   ts : Timeseries.t;
 }
 
 let create ?(on_invalidate = fun () -> 0) ?(on_slow = fun _ -> ()) ?clock
-    config =
+    ?(gauges = fun () -> []) config =
   if config.queue_capacity < 1 then
     invalid_arg "Engine.create: queue_capacity must be >= 1";
   if
@@ -129,9 +130,11 @@ let create ?(on_invalidate = fun () -> 0) ?(on_slow = fun _ -> ()) ?clock
       in_flight = 0;
     }
   in
+  let extra = gauges in
   let gauges () =
     [ ("serve.in_flight", float_of_int c.in_flight);
       ("serve.queue_depth", float_of_int (Queue.length queue)) ]
+    @ extra ()
   in
   {
     config;
@@ -140,6 +143,7 @@ let create ?(on_invalidate = fun () -> 0) ?(on_slow = fun _ -> ()) ?clock
     mode = `Accepting;
     on_invalidate;
     on_slow;
+    gauges = extra;
     ts =
       Timeseries.of_metrics ~gauges ~windows:config.stats_windows
         ~interval_s:config.stats_interval_s ?clock ();
@@ -160,6 +164,7 @@ let tick_stats t = Timeseries.tick t.ts
 let gauges_now t =
   [ ("serve.in_flight", float_of_int t.c.in_flight);
     ("serve.queue_depth", float_of_int (Queue.length t.queue)) ]
+  @ t.gauges ()
 
 let exposition t =
   Expo.render ~counters:(Metrics.counters ()) ~gauges:(gauges_now t)

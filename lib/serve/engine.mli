@@ -89,12 +89,14 @@ type pending = {
 
 type t
 
-(** [create ?on_invalidate ?on_slow ?clock config] — [on_invalidate]
-    backs the [invalidate-cache] op and returns how many entries were
-    dropped (default: none); [on_slow] receives one JSON record per
-    request at or above [slow_ms] (default: drop them); [clock] drives
-    the time-series windows only (injectable for deterministic tests;
-    default [Unix.gettimeofday]).
+(** [create ?on_invalidate ?on_slow ?clock ?gauges config] —
+    [on_invalidate] backs the [invalidate-cache] op and returns how many
+    entries were dropped (default: none); [on_slow] receives one JSON
+    record per request at or above [slow_ms] (default: drop them);
+    [clock] drives the time-series windows only (injectable for
+    deterministic tests; default [Unix.gettimeofday]); [gauges] are
+    sampled next to [serve.in_flight] and [serve.queue_depth], in the
+    time-series windows and the exposition (default: none).
     @raise Invalid_argument on nonsensical watermarks (capacity < 1,
     degrade watermark outside [1..capacity], non-positive deadlines,
     byte limit, stats interval, or window count). *)
@@ -102,6 +104,7 @@ val create :
   ?on_invalidate:(unit -> int) ->
   ?on_slow:(Json.t -> unit) ->
   ?clock:(unit -> float) ->
+  ?gauges:(unit -> (string * float) list) ->
   config ->
   t
 

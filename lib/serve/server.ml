@@ -87,8 +87,9 @@ let feed ~max_bytes conn chunk ~on_line ~on_oversized =
     else conn.inbuf <- rest
   end
 
-let run ?(config = Engine.default_config) ?on_invalidate ?metrics_out
-    ?slow_log ?trace_out ?pool ~exec listen =
+let run ?(config = Engine.default_config) ?on_invalidate
+    ?(on_close = fun _ -> ()) ?gauges ?metrics_out ?slow_log ?trace_out ?pool
+    ~exec listen =
   (* Slow-request records are JSONL, one line per offending request,
      flushed eagerly — the log exists to be tailed while the incident is
      happening. *)
@@ -114,7 +115,7 @@ let run ?(config = Engine.default_config) ?on_invalidate ?metrics_out
     | Some (ch, owned) -> if owned then close_out_noerr ch
     | None -> ()
   in
-  let engine = Engine.create ?on_invalidate ~on_slow config in
+  let engine = Engine.create ?on_invalidate ~on_slow ?gauges config in
   Metrics.reset ();
   Metrics.enable ();
   (* With a trace destination, the serve owns the (single-writer) trace
@@ -171,9 +172,23 @@ let run ?(config = Engine.default_config) ?on_invalidate ?metrics_out
   let listening = ref true in
   let drain_budget = ref None in
   let read_buf = Bytes.create 65536 in
+  (* Requests admitted and not yet settled, per connection: [on_close]
+     waits for a closed connection's last one, so that no request runs
+     for a cookie after its hook. *)
+  let queued : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let close_conn c =
     (try Unix.close c.fd with Unix.Unix_error _ -> ());
-    Hashtbl.remove conns c.cid
+    if Hashtbl.mem conns c.cid then begin
+      Hashtbl.remove conns c.cid;
+      if not (Hashtbl.mem queued c.cid) then on_close c.cid
+    end
+  in
+  let settled cid =
+    match Hashtbl.find_opt queued cid with
+    | Some k when k > 1 -> Hashtbl.replace queued cid (k - 1)
+    | _ ->
+      Hashtbl.remove queued cid;
+      if not (Hashtbl.mem conns cid) then on_close cid
   in
   let enqueue_out c line =
     (* The write-stall clock measures pending-output-without-progress, so
@@ -191,9 +206,10 @@ let run ?(config = Engine.default_config) ?on_invalidate ?metrics_out
     end
   in
   let route cid line =
-    match Hashtbl.find_opt conns cid with
+    (match Hashtbl.find_opt conns cid with
     | Some c -> enqueue_out c line
-    | None -> () (* client left; the outcome is already accounted *)
+    | None -> () (* client left; the outcome is already accounted *));
+    settled cid
   in
   let flush_conn c =
     let closed = ref false in
@@ -315,7 +331,10 @@ let run ?(config = Engine.default_config) ?on_invalidate ?metrics_out
       Engine.handle_line engine ~conn:c.cid ~quota_used:c.quota_used line
     with
     | `Reply reply -> enqueue_out c reply
-    | `Enqueued -> c.quota_used <- c.quota_used + 1
+    | `Enqueued ->
+      c.quota_used <- c.quota_used + 1;
+      Hashtbl.replace queued c.cid
+        (1 + Option.value ~default:0 (Hashtbl.find_opt queued c.cid))
     | `Drain reply ->
       enqueue_out c reply;
       drain_requested := true

@@ -58,12 +58,19 @@ type exec =
   Protocol.request ->
   (string * Json.t) list
 
-(** [run ?config ?on_invalidate ?metrics_out ?slow_log ?pool ~exec
-    listen] serves until a drain completes, then writes the final
-    snapshot to [metrics_out] (a path, ["-"] for stdout; default stderr)
-    and returns the exit code. Enables {!Repair_obs.Metrics} for the
-    lifetime of the serve. SIGTERM/SIGINT handlers are installed for the
-    duration and restored on exit.
+(** [run ?config ?on_invalidate ?on_close ?gauges ?metrics_out ?slow_log
+    ?pool ~exec listen] serves until a drain completes, then writes the
+    final snapshot to [metrics_out] (a path, ["-"] for stdout; default
+    stderr) and returns the exit code. Enables {!Repair_obs.Metrics} for
+    the lifetime of the serve. SIGTERM/SIGINT handlers are installed for
+    the duration and restored on exit.
+
+    [on_close cookie] is called on the server's domain once a
+    connection has closed and every request it had admitted has
+    settled, so per-connection state dropped by the hook is not
+    re-created by a request still queued. Cookies are never reused.
+    [gauges] are passed to {!Engine.create}; they are sampled on the
+    server's domain, never while requests execute.
 
     [slow_log] is where slow-request records go when the engine's
     [slow_ms] threshold is configured: a path (appended, created 0644),
@@ -96,6 +103,8 @@ type exec =
 val run :
   ?config:Engine.config ->
   ?on_invalidate:(unit -> int) ->
+  ?on_close:(int -> unit) ->
+  ?gauges:(unit -> (string * float) list) ->
   ?metrics_out:string ->
   ?slow_log:string ->
   ?trace_out:string ->

@@ -550,6 +550,94 @@ let test_end_to_end_unix_socket () =
     | Unix.WEXITED c -> Alcotest.failf "daemon exited %d" c
     | _ -> Alcotest.fail "daemon killed by signal"
 
+(* A stream session belongs to its connection: once the connection
+   closes, the session is dropped, which another connection sees as the
+   [stream.sessions] gauge of the [stats] exposition going from 1 to 0. *)
+let test_session_dropped_on_close () =
+  let path = socket_path () ^ ".sessions" in
+  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  match Unix.fork () with
+  | 0 ->
+    let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+    Unix.dup2 devnull Unix.stderr;
+    let code = try R.Serve.run (Server.Unix_sock path) with _ -> 99 in
+    Unix._exit code
+  | pid ->
+    let cleanup () =
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      try Unix.unlink path with Unix.Unix_error _ -> ()
+    in
+    Fun.protect ~finally:cleanup @@ fun () ->
+    let deadline = Unix.gettimeofday () +. 10.0 in
+    while (not (Sys.file_exists path)) && Unix.gettimeofday () < deadline do
+      ignore (Unix.select [] [] [] 0.02)
+    done;
+    let connect () =
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      fd
+    in
+    let request fd line =
+      let line = line ^ "\n" in
+      ignore (Unix.write_substring fd line 0 (String.length line));
+      let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+      let rec read () =
+        match Unix.select [ fd ] [] [] 5.0 with
+        | [], _, _ -> Alcotest.fail "no reply"
+        | _ -> (
+          match Unix.read fd chunk 0 4096 with
+          | 0 -> Alcotest.fail "connection closed before the reply"
+          | n ->
+            Buffer.add_subbytes buf chunk 0 n;
+            if not (String.contains (Buffer.contents buf) '\n') then read ())
+      in
+      read ();
+      Buffer.contents buf
+    in
+    let sessions stats =
+      let exposition =
+        match Json.member "exposition" (reply_json stats) with
+        | Some (Json.String e) -> e
+        | _ -> Alcotest.fail "stats reply lacks the exposition"
+      in
+      let prefix = "repair_stream_sessions " in
+      match
+        List.find_opt
+          (String.starts_with ~prefix)
+          (String.split_on_char '\n' exposition)
+      with
+      | Some l ->
+        int_of_string
+          (String.sub l (String.length prefix)
+             (String.length l - String.length prefix))
+      | None -> Alcotest.fail "no stream.sessions gauge"
+    in
+    let a = connect () and b = connect () in
+    Fun.protect ~finally:(fun () -> try Unix.close b with Unix.Unix_error _ -> ())
+    @@ fun () ->
+    Alcotest.(check bool) "stream reply ok" true
+      (reply_ok
+         (request a
+            {|{"id": "s", "op": "stream", "fds": "A -> B", "table": "A,B\n1,1\n1,2\n", "deltas": "{\"op\": \"insert\", \"tuple\": [2, 2]}"}|}));
+    let stats () = sessions (request b {|{"id": "t", "op": "stats"}|}) in
+    Alcotest.(check int) "one session while its connection is open" 1 (stats ());
+    Unix.close a;
+    let give_up = Unix.gettimeofday () +. 5.0 in
+    let rec settle () =
+      match stats () with
+      | 0 -> 0
+      | n when Unix.gettimeofday () > give_up -> n
+      | _ ->
+        ignore (Unix.select [] [] [] 0.02);
+        settle ()
+    in
+    Alcotest.(check int) "no session once it closed" 0 (settle ());
+    Unix.kill pid Sys.sigterm;
+    match snd (Unix.waitpid [] pid) with
+    | Unix.WEXITED 0 -> ()
+    | Unix.WEXITED c -> Alcotest.failf "daemon exited %d" c
+    | _ -> Alcotest.fail "daemon killed by signal"
+
 (* Slow-loris drill: a client that sends half a request line and stalls
    must be evicted within the read deadline — with the structured
    deadline-exceeded error on its way out — while a well-behaved
@@ -833,6 +921,8 @@ let () =
             test_end_to_end_unix_socket;
           Alcotest.test_case "slow-loris client evicted" `Quick
             test_slow_loris_eviction;
+          Alcotest.test_case "stream session dropped on close" `Quick
+            test_session_dropped_on_close;
           Alcotest.test_case "4-domain server keeps the books balanced"
             `Quick test_end_to_end_parallel_accounting;
           Alcotest.test_case "retry accounting counts each reply once"
