@@ -701,12 +701,27 @@ let union_all schema tables =
 
 let map_tuples tbl f =
   let n = size tbl in
-  let store = new_store tbl.schema ~cap:(max n 1) in
-  (* A mapped store starts a fresh prefix but keeps the shared pool so
-     unchanged values reuse their codes. *)
-  let store = { store with pool = tbl.store.pool } in
+  let src = tbl.store in
+  (* A mapped store starts a fresh prefix but keeps the shared pool. A
+     cell that is physically the source cell's value keeps the source's
+     code, which interning it again would return, without the pool's
+     lock; only the changed cells are interned. *)
+  let store = { (new_store tbl.schema ~cap:(max n 1)) with pool = src.pool } in
   for k = 0 to n - 1 do
-    push store (id_at tbl k) (weight_at tbl k) (f (id_at tbl k) (tuple_at tbl k))
+    let r = row_at tbl k in
+    let t = src.tuples.(r) in
+    let t' = f src.ids.(r) t in
+    store.ids.(k) <- src.ids.(r);
+    store.weights.(k) <- src.weights.(r);
+    store.tuples.(k) <- t';
+    Array.iteri
+      (fun c col ->
+        let v = Tuple.get t' c in
+        col.(k) <-
+          (if v == Tuple.get t c then src.codes.(c).(r)
+           else Interner.intern store.pool v))
+      store.codes;
+    store.len <- k + 1
   done;
   { tbl with store; len = n; view = All }
 

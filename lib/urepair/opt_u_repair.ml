@@ -41,29 +41,36 @@ let via_common_lhs ?budget d a tbl =
   let s_star = Repair_srepair.Opt_s_repair.run_exn ?budget d tbl in
   Transform.update_of_subset ~cover:(Attr_set.singleton a) d ~table:tbl s_star
 
+module Vtbl = Hashtbl.Make (struct
+  type t = Value.t
+
+  let equal = Value.equal
+  let hash = Value.hash
+end)
+
 (* Proposition 4.9: Δ ≡ {A → B, B → A}. Rewrite each deleted tuple into a
-   surviving tuple it agrees with on A or on B. *)
+   surviving tuple it agrees with on A or on B: the first such survivor
+   in id order, found through one index of S* per attribute. *)
 let via_two_way_unary ?budget d (a, b) tbl =
   let schema = Table.schema tbl in
   let s_star = Repair_srepair.Opt_s_repair.run_exn ?budget d tbl in
+  let first_on attr =
+    let index = Vtbl.create (max 16 (Table.size s_star)) in
+    Table.iter
+      (fun _ s _ ->
+        let v = Tuple.get_attr schema s attr in
+        if not (Vtbl.mem index v) then Vtbl.add index v s)
+      s_star;
+    index
+  in
+  let on_a = first_on a and on_b = first_on b in
   Table.map_tuples tbl (fun i t ->
       if Table.mem s_star i then t
       else
-        let va = Tuple.get_attr schema t a and vb = Tuple.get_attr schema t b in
-        let partner_on attr v =
-          Table.fold
-            (fun _ s _ found ->
-              match found with
-              | Some _ -> found
-              | None ->
-                if Value.equal (Tuple.get_attr schema s attr) v then Some s
-                else None)
-            s_star None
-        in
-        match partner_on a va with
+        match Vtbl.find_opt on_a (Tuple.get_attr schema t a) with
         | Some s -> Tuple.set_attr schema t b (Tuple.get_attr schema s b)
         | None -> (
-          match partner_on b vb with
+          match Vtbl.find_opt on_b (Tuple.get_attr schema t b) with
           | Some s -> Tuple.set_attr schema t a (Tuple.get_attr schema s a)
           | None ->
             (* Impossible: t conflicts with no survivor, contradicting the

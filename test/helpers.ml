@@ -423,3 +423,33 @@ module Recursive_osr = struct
     in
     fold ~leaf:(fun t -> (Table.total_weight t, 1)) ~combine d tbl
 end
+
+(* ---------- Proposition 4.9 by scanning ---------- *)
+
+(* The Δ ≡ {A → B, B → A} rewrite as first written: for each tuple
+   OptSRepair deletes, scan all of S* for the first survivor, in id
+   order, that agrees with it on A (then take its B), else on B (then
+   take its A). The oracle of Opt_u_repair's indexed rewrite. *)
+let two_way_unary_scan d (a, b) tbl =
+  let schema = Table.schema tbl in
+  let s_star = Repair_srepair.Opt_s_repair.run_exn d tbl in
+  Table.map_tuples tbl (fun i t ->
+      if Table.mem s_star i then t
+      else
+        let va = Tuple.get_attr schema t a and vb = Tuple.get_attr schema t b in
+        let partner_on attr v =
+          Table.fold
+            (fun _ s _ found ->
+              match found with
+              | Some _ -> found
+              | None ->
+                if Value.equal (Tuple.get_attr schema s attr) v then Some s
+                else None)
+            s_star None
+        in
+        match partner_on a va with
+        | Some s -> Tuple.set_attr schema t b (Tuple.get_attr schema s b)
+        | None -> (
+          match partner_on b vb with
+          | Some s -> Tuple.set_attr schema t a (Tuple.get_attr schema s a)
+          | None -> assert false))

@@ -81,17 +81,19 @@ let gen_table_and_attrs =
 
 (* ---------- group_by / project_distinct vs the model ---------- *)
 
+let groups_agree tbl m x =
+  let got = Table.group_by tbl x in
+  let want = model_group_by m x in
+  List.length got = List.length want
+  && List.for_all2
+       (fun (k1, sub) (k2, msub) ->
+         Tuple.equal k1 k2 && Table.equal sub (table_of_model msub))
+       got want
+
 let prop_group_by_model =
   qcheck ~count:300 "group_by agrees with the seed Imap semantics"
     gen_table_and_attrs
-    (fun (tbl, x) ->
-      let got = Table.group_by tbl x in
-      let want = model_group_by (model_of_table tbl) x in
-      List.length got = List.length want
-      && List.for_all2
-           (fun (k1, sub) (k2, msub) ->
-             Tuple.equal k1 k2 && Table.equal sub (table_of_model msub))
-           got want)
+    (fun (tbl, x) -> groups_agree tbl (model_of_table tbl) x)
 
 let prop_project_distinct_model =
   qcheck ~count:300 "project_distinct agrees with the seed semantics"
@@ -255,6 +257,39 @@ let prop_views_are_persistent =
         (fun (snap, sub) -> Table.equal (table_of_model snap) sub)
         snapshots)
 
+(* ---------- map_tuples ---------- *)
+
+(* Every third cell is kept as the very same value, every third is
+   rewritten, and every third is rebuilt as an equal value in a fresh
+   block; rows with an even id are not mapped at all. *)
+let remap i t =
+  if i mod 2 = 0 then t
+  else
+    Tuple.make
+      (List.mapi
+         (fun c v ->
+           match (v, (i + c) mod 3) with
+           | _, 0 -> v
+           | Value.Int k, 1 -> Value.int (((k + i) mod 4) + 1)
+           | Value.Int k, _ -> Value.int k
+           | v, _ -> v)
+         (Tuple.values t))
+
+(* The mapped table must equal the model's, and grouping it — which reads
+   the code columns, copied for kept cells and interned for the others —
+   must agree with grouping the model, on a whole store and on a view. *)
+let prop_map_tuples_model =
+  qcheck ~count:300 "map_tuples agrees with the model on kept and new cells"
+    gen_table_and_attrs
+    (fun (tbl, x) ->
+      List.for_all
+        (fun src ->
+          let m = model_of_table src in
+          let m = { m with m_rows = Imap.mapi (fun i (t, w) -> (remap i t, w)) m.m_rows } in
+          let u = Table.map_tuples src remap in
+          Table.equal u (table_of_model m) && groups_agree u m x)
+        [ tbl; Table.select tbl (fun i _ -> i mod 3 <> 1) ])
+
 (* ---------- OptSRepair representation-independence ---------- *)
 
 (* The same logical table reached through three different construction
@@ -325,6 +360,7 @@ let () =
           prop_union_cross_store;
           prop_union_all_same_store;
           prop_union_all_cross_store;
+          prop_map_tuples_model;
           Alcotest.test_case "union duplicate id" `Quick
             test_union_duplicate_id ] );
       ( "construction paths",

@@ -126,6 +126,35 @@ let prop_two_way_unary_optimal =
         && consistent_distance_eq du (U_exact.distance d t)
         && consistent_distance_eq du (Repair_srepair.S_exact.distance d t))
 
+(* Prop. 4.9's rewrite through per-attribute indexes of S* must pick the
+   partner the scan of all of S* picks: the first survivor in id order.
+   Ids arrive shuffled, weights are fractional, and a third column rides
+   along. *)
+let prop_two_way_unary_index_matches_scan =
+  let schema = Schema.make "R" [ "A"; "B"; "C" ] in
+  qcheck ~count:300
+    ~print:(fun t -> Fmt.str "%a" Table.pp t)
+    "Prop 4.9 rewrite: S* indexes = scan of S*"
+    QCheck2.Gen.(
+      let* n = int_range 0 30 in
+      let* rows =
+        list_repeat n
+          (pair (list_repeat 3 (int_range 1 4)) (oneofl [ 0.1; 0.2; 0.3; 0.6; 1.0 ]))
+      in
+      let* ids = shuffle_l (List.init n (fun k -> (2 * k) + 1)) in
+      return
+        (Table.of_list schema
+           (List.map2
+              (fun id (vs, w) -> (id, w, Tuple.make (List.map Value.int vs)))
+              ids rows)))
+    (fun t ->
+      List.for_all
+        (fun text ->
+          let d = Fd_set.parse text in
+          Table.equal (Opt_u_repair.solve_exn d t)
+            (two_way_unary_scan d ("A", "B") t))
+        [ "A -> B; B -> A"; "B -> A; A -> B; A -> A" ])
+
 let prop_disjoint_composition =
   qcheck ~count:25 "Thm 4.1: attribute-disjoint composition is optimal"
     QCheck2.Gen.(int_range 0 10_000)
@@ -488,6 +517,7 @@ let () =
       ( "tractable cases",
         [ prop_common_lhs_optimal;
           prop_two_way_unary_optimal;
+          prop_two_way_unary_index_matches_scan;
           prop_disjoint_composition;
           prop_consensus_majority;
           Alcotest.test_case "refusals are diagnosed" `Quick test_refusals;
