@@ -940,52 +940,72 @@ module View = struct
 
   (* Open addressing over class numbers: a slot holds the class whose
      key is (its old class, the codes of its first row), so a probe
-     compares in place and no key is ever built. *)
+     compares in place and no key is ever built. The table grows with
+     the class count, kept at most half full. *)
   let refine tbl classes x =
     let n = size tbl in
     if Array.length classes <> n then
       invalid_arg "Table.View.refine: one class per visible position";
     let cols = Array.map (fun c -> tbl.store.codes.(c)) (cols_of tbl x) in
     let k = Array.length cols in
-    let cap = ref 16 in
-    while !cap < 2 * n do
-      cap := 2 * !cap
-    done;
-    let mask = !cap - 1 in
-    let slots = Array.make !cap (-1) in
-    let first_row = Array.make (max n 1) 0 in
-    let old_class = Array.make (max n 1) 0 in
-    let out = Array.make n 0 in
-    let count = ref 0 in
-    for p = 0 to n - 1 do
-      let r = row_at tbl p and c = classes.(p) in
+    let hash c r =
       let h = ref c in
       for i = 0 to k - 1 do
         h := (!h * 0x100000001b3) lxor cols.(i).(r)
       done;
       let h = !h * 0x2545F4914F6CDD1D in
-      let s = ref ((h lxor (h lsr 31)) land mask) in
-      let found = ref (-1) in
-      while !found < 0 do
-        let g = slots.(!s) in
-        if g < 0 then begin
-          let g = !count in
-          incr count;
-          slots.(!s) <- g;
-          first_row.(g) <- r;
-          old_class.(g) <- c;
-          found := g
-        end
-        else if
-          old_class.(g) = c
-          &&
-          let r' = first_row.(g) in
-          let rec same i = i >= k || (cols.(i).(r') = cols.(i).(r) && same (i + 1)) in
-          same 0
-        then found := g
-        else s := (!s + 1) land mask
+      h lxor (h lsr 31)
+    in
+    let first_row = ref (Array.make 8 0) and old_class = ref (Array.make 8 0) in
+    let slots = ref (Array.make 16 (-1)) and count = ref 0 in
+    let same g r c =
+      !old_class.(g) = c
+      &&
+      let r' = !first_row.(g) and i = ref 0 in
+      while !i < k && cols.(!i).(r') = cols.(!i).(r) do
+        incr i
       done;
-      out.(p) <- !found
+      !i = k
+    in
+    let rec free sl s =
+      if sl.(s) < 0 then s else free sl ((s + 1) land (Array.length sl - 1))
+    in
+    let grow () =
+      let cap = 2 * Array.length !first_row in
+      let extend a =
+        let b = Array.make cap 0 in
+        Array.blit a 0 b 0 !count;
+        b
+      in
+      first_row := extend !first_row;
+      old_class := extend !old_class;
+      let sl = Array.make (2 * cap) (-1) in
+      for g = 0 to !count - 1 do
+        sl.(free sl (hash !old_class.(g) !first_row.(g) land ((2 * cap) - 1)))
+        <- g
+      done;
+      slots := sl
+    in
+    let out = Array.make n 0 in
+    for p = 0 to n - 1 do
+      let r = row_at tbl p and c = classes.(p) in
+      let h = hash c r in
+      let sl = !slots in
+      let s = ref (h land (Array.length sl - 1)) in
+      while sl.(!s) >= 0 && not (same sl.(!s) r c) do
+        s := (!s + 1) land (Array.length sl - 1)
+      done;
+      if sl.(!s) >= 0 then out.(p) <- sl.(!s)
+      else begin
+        let g = !count in
+        if g = Array.length !first_row then grow ();
+        let sl = !slots in
+        sl.(free sl (h land (Array.length sl - 1))) <- g;
+        !first_row.(g) <- r;
+        !old_class.(g) <- c;
+        count := g + 1;
+        out.(p) <- g
+      end
     done;
     (out, !count)
 end

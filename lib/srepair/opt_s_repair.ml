@@ -225,14 +225,17 @@ let execute budget plan tbl =
     let n = Table.View.length tbl in
     let kept = Bytes.make n '\001' in
     List.iter (apply tbl kept) (List.rev lvs);
-    let positions = Array.make n 0 and m = ref 0 in
+    let m = ref 0 in
+    Bytes.iter (fun b -> if b = '\001' then incr m) kept;
+    let positions = Array.make !m 0 in
+    m := 0;
     for p = 0 to n - 1 do
       if Bytes.unsafe_get kept p = '\001' then begin
         positions.(!m) <- p;
         incr m
       end
     done;
-    Table.View.of_positions tbl (Array.sub positions 0 !m)
+    Table.View.of_positions tbl positions
 
 (* The same levels, folding values of any type: each leaf block is a
    sub-view, and each step's blocks are combined in key order. *)
