@@ -1352,14 +1352,23 @@ let smoke_subset =
     "E22"; "E23"; "E24" ]
 
 let () =
-  let smoke = ref false and out = ref "BENCH_1.json" in
+  let smoke = ref false and out = ref None and only = ref [] in
   let rec parse = function
     | [] -> ()
     | "--smoke" :: rest ->
       smoke := true;
       parse rest
     | "--out" :: file :: rest ->
-      out := file;
+      out := Some file;
+      parse rest
+    | "--only" :: name :: rest ->
+      if not (List.mem_assoc name experiments) then begin
+        Fmt.epr "bench: --only expects one of %s, got %s@."
+          (String.concat ", " (List.map fst experiments))
+          name;
+        exit 2
+      end;
+      only := name :: !only;
       parse rest
     | "--runs" :: n :: rest ->
       (match int_of_string_opt n with
@@ -1370,7 +1379,9 @@ let () =
       parse rest
     | arg :: _ ->
       Fmt.epr
-        "bench: unknown argument %s (try --smoke, --out FILE, --runs N)@." arg;
+        "bench: unknown argument %s (try --smoke, --only NAME, --out FILE, \
+         --runs N)@."
+        arg;
       exit 2
   in
   parse (List.tl (Array.to_list Sys.argv));
@@ -1383,9 +1394,19 @@ let () =
     "repair-bench — reproduction experiments for 'Computing Optimal Repairs \
      for Functional Dependencies' (PODS'18)%s@."
     (if !smoke then " [smoke subset]" else "");
+  (* --only NAME (repeatable) runs just the named experiments, at the
+     size --smoke selects, and writes records only to an explicit --out:
+     a partial run must not replace the full BENCH_1.json. *)
+  let selected name =
+    match !only with
+    | [] -> (not !smoke) || List.mem name smoke_subset
+    | names -> List.mem name names
+  in
   List.iter
-    (fun (name, f) ->
-      if (not !smoke) || List.mem name smoke_subset then run_experiment name f)
+    (fun (name, f) -> if selected name then run_experiment name f)
     experiments;
-  write_bench ~file:!out ();
+  (match (!out, !only) with
+  | Some file, _ -> write_bench ~file ()
+  | None, [] -> write_bench ~file:"BENCH_1.json" ()
+  | None, _ :: _ -> ());
   finish ()
