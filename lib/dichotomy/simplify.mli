@@ -2,7 +2,8 @@
     the dichotomy test.
 
     {!step} and {!partition} are the one definition of a simplification
-    step. [Opt_s_repair] recurses on them over data, the stream session
+    step. [Opt_s_repair] takes them at its top level and runs {!run}'s
+    trace as each block's plan, the stream session
     applies them to its top level, [Classify.certify] checks that none
     applies, and {!run} loops on them without data.
 

@@ -24,8 +24,8 @@ let refusal d =
   in
   first_marriage (Fd_set.remove_trivial d) trace
 
-(* OptSRepair's recursion, carrying (optimal weight, number of optima)
-   per block. *)
+(* OptSRepair's fold, carrying (optimal weight, number of optima) per
+   block. *)
 let leaf tbl = (Table.total_weight tbl, 1)
 
 let combine _ step blocks =

@@ -3,7 +3,7 @@
     Livshits and Kimelfeld (PODS'17, the paper's reference [26]) showed
     that {e chain} FD sets are exactly the sets whose subset repairs can be
     counted in polynomial time. Here we count {e optimal} S-repairs with
-    {!Repair_srepair.Opt_s_repair.fold}, Algorithm 1's own recursion,
+    {!Repair_srepair.Opt_s_repair.fold}, Algorithm 1's own fold,
     carrying (weight, count) pairs: the common-lhs case multiplies block
     counts, and the consensus case sums the counts of the maximum-weight
     blocks. The lhs-marriage case would require counting maximum-weight

@@ -597,10 +597,10 @@ let union t1 t2 =
     if t1.store == t2.store then begin
       (* Same backing store: merge the two sorted row slices. Store ids
          are unique, so a duplicate identifier is the same row index.
-         This is the hot path of the common-lhs recursion (Opt_s_repair
-         takes [union_all] of the groups at every level), so the merge
-         works directly on the raw index arrays and finishes each
-         exhausted side with a blit. *)
+         This is the hot path of a common-lhs combine (Opt_s_repair takes
+         [union_all] of its top-level blocks), so the merge works
+         directly on the raw index arrays and finishes each exhausted
+         side with a blit. *)
       let a1 = visible_rows t1 and a2 = visible_rows t2 in
       let ids = t1.store.ids in
       let merged = Array.make (n1 + n2) 0 in

@@ -124,7 +124,7 @@ let levels budget ((outcome, trace) : plan) tbl =
   | Simplify.Hard stuck ->
     if not empty then List.iter (fun _ -> Budget.tick ~phase budget) trace;
     raise (Stuck stuck)
-  | Tractable when empty -> []
+  | Tractable when empty || trace = [] -> []
   | Tractable ->
     let rec go node parents = function
       | [] -> []
@@ -210,11 +210,10 @@ let apply tbl kept lv =
     let chosen = Array.make lv.count false in
     Array.iter
       (fun gs ->
-        let gs = Array.of_list gs in
-        Array.to_list gs
-        |> List.map (fun g -> (key x1 g, key x2 g, w.(g)))
+        let block = Array.of_list gs in
+        List.map (fun g -> (key x1 g, key x2 g, w.(g))) gs
         |> matched
-        |> List.iter (fun k -> chosen.(gs.(k)) <- true))
+        |> List.iter (fun k -> chosen.(block.(k)) <- true))
       (children tbl lv);
     keep chosen
 
