@@ -182,21 +182,13 @@ let read_file path =
         in
         go ())
 
-(* Where [write_file_atomic] may put a new file in place by rename: an
-   absent path or a regular file is replaced; a symlink is followed to
-   the regular file it resolves to, so the link itself survives. Any
-   other existing file — a character device such as /dev/null, a FIFO,
-   a socket, a directory, a dangling link — is [None]: it is not ours to
-   replace, and it is written in place. *)
-let rename_target path =
-  match Unix.lstat path with
-  | exception Unix.Unix_error _ -> Some path
-  | { Unix.st_kind = Unix.S_REG; _ } -> Some path
-  | { Unix.st_kind = Unix.S_LNK; _ } -> (
-    match Unix.stat path with
-    | { Unix.st_kind = Unix.S_REG; _ } -> Some (Unix.realpath path)
-    | _ | (exception Unix.Unix_error _) -> None)
-  | _ -> None
+(* [write_file_atomic] renames over [path] only when it is absent or a
+   regular file (a symlink to one is replaced like the file, as any
+   atomic save replaces it). Any other existing file — a character
+   device such as /dev/null, a FIFO, a socket — is not ours to replace
+   and is written in place. The two tests allocate nothing on the OCaml
+   heap, so a write allocates the same whether or not [path] exists. *)
+let replaceable path = (not (Sys.file_exists path)) || Sys.is_regular_file path
 
 let write_file_atomic path text =
   let io detail = Repair_error.raise_error (Io { file = path; detail }) in
@@ -211,21 +203,20 @@ let write_file_atomic path text =
     | () -> ()
     | exception Unix.Unix_error (e, _, _) -> io (Unix.error_message e)
   in
-  match rename_target path with
-  | None -> (
+  if not (replaceable path) then
     (* No fsync: a device or a pipe has nothing to make durable, and
        fsync on one fails with EINVAL. *)
-    match Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 with
+    match Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 with
     | exception Unix.Unix_error (e, _, _) -> io (Unix.error_message e)
-    | fd -> fill ~sync:false fd)
-  | Some target -> (
-    let tmp = target ^ ".tmp" in
+    | fd -> fill ~sync:false fd
+  else
+    let tmp = path ^ ".tmp" in
     match
       Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
     with
     | exception Unix.Unix_error (e, _, _) -> io (Unix.error_message e)
     | fd -> (
       fill fd;
-      match rename tmp target with
+      match rename tmp path with
       | () -> ()
-      | exception Unix.Unix_error (e, _, _) -> io (Unix.error_message e)))
+      | exception Unix.Unix_error (e, _, _) -> io (Unix.error_message e))

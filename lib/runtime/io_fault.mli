@@ -109,13 +109,14 @@ val read_file : string -> string
     intermediate state; a {!Crash} at any step leaves [path] untouched.
 
     Only a file this function may replace is renamed over: [path] when
-    it is absent or a regular file. A symlink is followed: when it
-    resolves to a regular file, that file is replaced the same way (the
-    temporary file sits next to it) and the link is kept. Any other
-    existing file — a character device such as [/dev/null], a FIFO, a
-    socket, a dangling link — is opened and written in place, without
-    the temporary file or the fsync, so [-o /dev/null] never turns the
-    device into a regular file.
+    it is absent or a regular file. A symlink to a regular file is
+    replaced like the file — the link itself, as any atomic save
+    replaces it — and so is a dangling one. Any other existing file — a
+    character device such as [/dev/null], a FIFO, a socket, or a
+    symlink to one — is opened and written in place, without the
+    temporary file or the fsync, so [-o /dev/null] never turns the
+    device into a regular file. The test allocates nothing on the OCaml
+    heap, so a write allocates the same whether [path] exists or not.
     @raise Repair_error.Error [(Io _)] on any [Unix_error] (after
     [EINTR] retry). *)
 val write_file_atomic : string -> string -> unit
