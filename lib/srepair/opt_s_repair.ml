@@ -66,17 +66,15 @@ let combine schema step blocks =
   match step with
   | Simplify.Common_lhs _ -> Table.union_all schema (List.map snd blocks)
   | Consensus fd -> (
-    let weight (_, s) = Table.total_weight s in
+    let key = project (Fd.rhs fd) and weight (_, s) = Table.total_weight s in
     match blocks with
     | [] -> Table.empty schema
     | first :: rest ->
-      snd
-        (List.fold_left
-           (fun best c ->
-             if heavier ~key:(project (Fd.rhs fd)) c best (weight c) (weight best)
-             then c
-             else best)
-           first rest))
+      List.fold_left
+        (fun best c ->
+          if heavier ~key c best (weight c) (weight best) then c else best)
+        first rest
+      |> snd)
   | Marriage (x1, x2) ->
     let repairs = Array.of_list (List.map snd blocks) in
     List.map
