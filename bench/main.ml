@@ -651,7 +651,7 @@ let e18 () =
           dirty rng D.office_schema D.office_fds ~n:200 ~noise:0.1 ~dom:12
         in
         let input = Filename.concat dir (Printf.sprintf "job%d.csv" i) in
-        Csv_io.save t input;
+        R.Runtime.Io_fault.write_file_atomic input (Csv_io.to_string t);
         {
           B.Manifest.id = Printf.sprintf "job%d" i;
           input;

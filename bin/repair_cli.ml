@@ -53,11 +53,7 @@ let write_out path text =
 
 let parse_fds s = E.guard (fun () -> R.Driver.parse_fds ~source:"<fds>" s)
 
-let is_jsonl path = Filename.check_suffix path ".jsonl"
-
-let load_table path =
-  if is_jsonl path then Jsonl_io.load_result ~name:"T" path
-  else Csv_io.load_result ~name:"T" path
+let load_table path = E.guard (fun () -> R.load_table path)
 
 let or_die = function
   | Ok v -> v
@@ -190,11 +186,7 @@ let with_domains domains f =
 let emit out tbl =
   match out with
   | None -> print_string (Csv_io.to_string tbl)
-  | Some path ->
-    let text =
-      if is_jsonl path then Jsonl_io.to_string tbl else Csv_io.to_string tbl
-    in
-    write_out path text
+  | Some path -> write_out path (R.table_text path tbl)
 
 let classify_cmd =
   let run fds =
@@ -628,12 +620,7 @@ let profile_cmd =
   in
   let run file top check =
     let text =
-      try
-        let ic = open_in_bin file in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      with Sys_error m -> die_error (E.Io { file; detail = m })
+      try R.Runtime.Io_fault.read_file file with E.Error e -> die_error e
     in
     let j =
       match R.Obs.Json.of_string text with
@@ -935,11 +922,7 @@ let load_cmd =
   let run socket port requests connections op rows poison malformed timeout
       wall seed retries retry_backoff out verbose =
     setup_logs verbose;
-    let target : R.Workload.Load_gen.target =
-      match listen_of socket port with
-      | R.Serve.Server.Unix_sock p -> Unix_sock p
-      | R.Serve.Server.Tcp p -> Tcp p
-    in
+    let listen = listen_of socket port in
     let spec =
       {
         R.Workload.Load_gen.default_spec with
@@ -957,13 +940,9 @@ let load_cmd =
       }
     in
     let report =
-      try R.Workload.Load_gen.run spec target with
+      try R.Workload.Load_gen.run spec listen with
       | Failure m ->
-        let file =
-          match target with
-          | R.Workload.Load_gen.Unix_sock p -> p
-          | R.Workload.Load_gen.Tcp p -> Printf.sprintf "127.0.0.1:%d" p
-        in
+        let file = R.Serve.Server.listen_name listen in
         die_error (E.Io { file; detail = m })
       | Invalid_argument m ->
         die_error (E.Parse { source = "<args>"; line = None; detail = m })
@@ -1015,18 +994,10 @@ let top_cmd =
   in
   let run socket port interval once expo verbose =
     setup_logs verbose;
-    let target : R.Workload.Load_gen.target =
-      match listen_of socket port with
-      | R.Serve.Server.Unix_sock p -> Unix_sock p
-      | R.Serve.Server.Tcp p -> Tcp p
-    in
-    let file =
-      match target with
-      | R.Workload.Load_gen.Unix_sock p -> p
-      | R.Workload.Load_gen.Tcp p -> Printf.sprintf "127.0.0.1:%d" p
-    in
+    let listen = listen_of socket port in
+    let file = R.Serve.Server.listen_name listen in
     let fetch () =
-      match R.Workload.Top.fetch target with
+      match R.Workload.Top.fetch listen with
       | Ok s -> s
       | Error detail -> die_error (E.Io { file; detail })
     in
@@ -1088,18 +1059,10 @@ let stream_cmd =
     Arg.(value & opt int 256 & info [ "chunk" ] ~docv:"N" ~doc)
   in
   let read_lines path =
-    match
-      let ic = open_in path in
-      Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-      let rec go acc n =
-        match input_line ic with
-        | line -> go ((n, line) :: acc) (n + 1)
-        | exception End_of_file -> List.rev acc
-      in
-      go [] 1
-    with
-    | lines -> lines
-    | exception Sys_error m -> die_error (E.Io { file = path; detail = m })
+    match R.Runtime.Io_fault.read_file path with
+    | text ->
+      List.mapi (fun i line -> (i + 1, line)) (String.split_on_char '\n' text)
+    | exception E.Error e -> die_error e
   in
   let finish ?dump_table out (r : R.Driver.report) =
     report_header "stream" r;
@@ -1133,14 +1096,12 @@ let stream_cmd =
   (* Client mode: replay the (locally pre-validated) delta log through a
      running daemon's per-connection stream session, chunked so the
      request lines stay under the server's byte limit. *)
-  let run_client fds tbl target lines chunk out dump_table =
+  let run_client fds tbl listen lines chunk out dump_table =
     let module Json = R.Obs.Json in
-    let file =
-      match target with
-      | R.Workload.Load_gen.Unix_sock p -> p
-      | R.Workload.Load_gen.Tcp p -> Printf.sprintf "127.0.0.1:%d" p
+    let module Wire = R.Workload.Wire in
+    let io detail =
+      die_error (E.Io { file = R.Serve.Server.listen_name listen; detail })
     in
-    let io detail = die_error (E.Io { file; detail }) in
     let valid =
       List.filter_map
         (fun (n, line) ->
@@ -1165,35 +1126,13 @@ let stream_cmd =
         c :: chunks rest
     in
     let batches = match chunks valid with [] -> [ [] ] | bs -> bs in
-    let domain, addr =
-      match target with
-      | R.Workload.Load_gen.Unix_sock path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
-      | R.Workload.Load_gen.Tcp port ->
-        (Unix.PF_INET, Unix.ADDR_INET (Unix.inet_addr_loopback, port))
-    in
-    let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-    let finally () = try Unix.close fd with Unix.Unix_error _ -> () in
     match
-      Fun.protect ~finally @@ fun () ->
-      Unix.connect fd addr;
-      let rec write_all s off =
-        if off < String.length s then
-          write_all s (off + Unix.write_substring fd s off (String.length s - off))
-      in
-      let pending = ref "" in
-      let chunk_buf = Bytes.create 65536 in
+      let w = Wire.connect listen in
+      Fun.protect ~finally:(fun () -> Wire.close w) @@ fun () ->
       let read_reply () =
-        let rec go acc =
-          match String.index_opt acc '\n' with
-          | Some i ->
-            pending := String.sub acc (i + 1) (String.length acc - i - 1);
-            String.sub acc 0 i
-          | None -> (
-            match Unix.read fd chunk_buf 0 (Bytes.length chunk_buf) with
-            | 0 -> io "server closed the connection mid-stream"
-            | n -> go (acc ^ Bytes.sub_string chunk_buf 0 n))
-        in
-        go !pending
+        match Wire.read_line w with
+        | Some line -> line
+        | None -> io "server closed the connection mid-stream"
       in
       let exchange ~first k batch =
         let line =
@@ -1201,7 +1140,7 @@ let stream_cmd =
             ?table:(if first then Some (Csv_io.to_string tbl) else None)
             ~deltas:(String.concat "\n" batch) ()
         in
-        write_all line 0;
+        Wire.send w line;
         match Json.of_string (read_reply ()) with
         | Error m -> io (Printf.sprintf "unparsable reply: %s" m)
         | Ok reply -> (
@@ -1269,13 +1208,7 @@ let stream_cmd =
     | None, None ->
       with_trace trace trace_buffer @@ fun () ->
       with_metrics metrics @@ fun () -> run_local d tbl lines out dump_table
-    | _ ->
-      let target : R.Workload.Load_gen.target =
-        match listen_of socket port with
-        | R.Serve.Server.Unix_sock p -> Unix_sock p
-        | R.Serve.Server.Tcp p -> Tcp p
-      in
-      run_client fds tbl target lines chunk out dump_table
+    | _ -> run_client fds tbl (listen_of socket port) lines chunk out dump_table
   in
   let doc =
     "Maintain a repair incrementally under a JSONL delta log \

@@ -158,6 +158,22 @@ for sub in s-repair u-repair stream session; do
   [ "$miss_code" -eq 4 ]
 done
 
+# JSONL input identity: the same generated office table written once as
+# CSV and once as JSONL must repair to the same CSV bytes and report
+# the same distance line, from s-repair and from u-repair.
+for ext in csv jsonl; do
+  $cli generate -f "$office_fds" -a "facility room city floor" \
+    --size 2500 --domain 100 --noise 0.05 --seed 106 -o "$tdir/twin.$ext"
+done
+for sub in s-repair u-repair; do
+  for ext in csv jsonl; do
+    $cli "$sub" -f "$office_fds" "$tdir/twin.$ext" \
+      -o "$tdir/twin.$ext.out" 2> "$tdir/twin.$ext.err"
+  done
+  cmp "$tdir/twin.csv.out" "$tdir/twin.jsonl.out"
+  cmp "$tdir/twin.csv.err" "$tdir/twin.jsonl.err"
+done
+
 # Pre-framing journals (DESIGN §14): a plain-JSONL journal fails the
 # frame grammar at byte 0, so a resume refuses it as corruption — exit
 # code 11, every byte moved to the sidecar, the journal emptied — and a
@@ -302,6 +318,19 @@ grep -q '^total.stream.ticks 1000' "$sdir/stop.txt"
 grep -q '^stream.ticks_per_s ' "$sdir/stop.txt"
 grep -Eq '^stream.affected_ratio 0\.[0-9]+' "$sdir/stop.txt"
 grep -Eq '^stream.cache_hit_rate 0\.[0-9]+' "$sdir/stop.txt"
+# A 50,000-row office base with an empty tape: the reply carries a
+# repaired table of over 1 MB, which the client reads in many pieces;
+# it must equal the local replay's.
+$cli generate -f "$office_fds" -a "facility room city floor" \
+  --size 50000 --domain 1000 --noise 0.05 --seed 107 -o "$sdir/obase.csv"
+$cli stream -f "$office_fds" "$sdir/obase.csv" --deltas "$tdir/empty.jsonl" \
+  --socket "$sdir/st.sock" -o "$sdir/owire.csv" > "$sdir/owire.out" 2>&1
+$cli stream -f "$office_fds" "$sdir/obase.csv" --deltas "$tdir/empty.jsonl" \
+  -o "$sdir/olocal.csv" > "$sdir/olocal.out" 2>&1
+[ "$(wc -c < "$sdir/owire.csv")" -gt 1000000 ]
+cmp "$sdir/owire.csv" "$sdir/olocal.csv"
+[ "$(sed -n 's/^stream: \(distance=.*\)/\1/p' "$sdir/owire.out")" = \
+  "$(sed -n 's/^stream: \(distance=.*\)/\1/p' "$sdir/olocal.out")" ]
 hard_fds="A -> B; B -> C"
 ./_build/default/bin/repair_cli.exe generate -f "$hard_fds" -a "A B C" \
   --size 300 --domain 100 --noise 0.1 --seed 105 -o "$sdir/hbase.csv"

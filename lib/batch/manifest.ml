@@ -88,16 +88,7 @@ let parse_string ?(file = "<manifest>") text =
     jobs;
   { jobs }
 
-let read_file path =
-  try
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let n = in_channel_length ic in
-        really_input_string ic n)
-  with Sys_error m -> Repair_error.raise_error (Io { file = path; detail = m })
-
-let load path = parse_string ~file:path (read_file path)
+let load path =
+  parse_string ~file:path (Repair_runtime.Io_fault.read_file path)
 
 let load_result path = Repair_error.guard (fun () -> load path)

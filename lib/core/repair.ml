@@ -23,22 +23,22 @@ module Stream = Repair_stream
 
 module Driver = Repair_driver.Driver
 
+let is_jsonl path = Filename.check_suffix path ".jsonl"
+
+let load_table path =
+  if is_jsonl path then Repair_relational.Jsonl_io.load ~name:"T" path
+  else Repair_relational.Csv_io.load ~name:"T" path
+
+let table_text path tbl =
+  if is_jsonl path then Repair_relational.Jsonl_io.to_string tbl
+  else Repair_relational.Csv_io.to_string tbl
+
 module Batch = struct
   module Manifest = Repair_batch.Manifest
   module Journal = Repair_batch.Journal
   module Runner = Repair_batch.Runner
   module Budget = Repair_runtime.Budget
   module Repair_error = Repair_runtime.Repair_error
-  open Repair_relational
-
-  let is_jsonl path = Filename.check_suffix path ".jsonl"
-
-  let load_table path =
-    if is_jsonl path then Jsonl_io.load ~name:"T" path
-    else Csv_io.load ~name:"T" path
-
-  let save_table tbl path =
-    if is_jsonl path then Jsonl_io.save tbl path else Csv_io.save tbl path
 
   (* The Driver-backed executor the CLI uses. Raises Repair_error.Error
      for everything the runner should isolate: a bad FD string or input
@@ -61,7 +61,11 @@ module Batch = struct
     match result with
     | Error e -> Repair_error.raise_error e
     | Ok r ->
-      Option.iter (save_table r.result) job.output;
+      Option.iter
+        (fun path ->
+          Repair_runtime.Io_fault.write_file_atomic path
+            (table_text path r.result))
+        job.output;
       {
         Runner.status = (if r.degraded then `Degraded else `Ok);
         distance = r.distance;

@@ -67,6 +67,14 @@ module Stream = Repair_stream
 (** The Auto ladder and the strategy vocabulary. *)
 module Driver = Repair_driver.Driver
 
+(** [load_table path] reads the table at [path], named ["T"]: JSONL
+    when [path] ends in [.jsonl], CSV otherwise.
+    @raise Runtime.Repair_error.Error on an unreadable or bad file. *)
+val load_table : string -> Repair_relational.Table.t
+
+(** [table_text path tbl] renders [tbl] in the format [path] names. *)
+val table_text : string -> Repair_relational.Table.t -> string
+
 (** The journaled batch runner ({!Repair_batch}) wired to the {!Driver}:
     a manifest of repair jobs executed with per-job isolation, an
     fsync'd write-ahead journal, checkpoint/resume, bounded retries with
@@ -79,9 +87,10 @@ module Batch : sig
   module Runner = Repair_batch.Runner
 
   (** [exec_job job] parses the job's FDs, loads its input table
-      (CSV/JSONL by extension), runs the {!Driver} under the job's
+      ({!load_table}), runs the {!Driver} under the job's
       budget/strategy/policy, writes the repaired table to [job.output]
-      when set, and returns the outcome.
+      when set (atomically, with
+      {!Runtime.Io_fault.write_file_atomic}), and returns the outcome.
 
       @raise Runtime.Repair_error.Error on any per-job failure — the
       runner catches and classifies it. *)

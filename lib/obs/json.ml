@@ -85,6 +85,10 @@ let to_string ?(pretty = false) v =
 
 exception Parse_error of string
 
+(* The parser recurses once per container level; past this depth it
+   fails instead of growing the stack with the input. *)
+let max_depth = 512
+
 let is_hex_digit = function
   | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
   | _ -> false
@@ -204,10 +208,11 @@ let of_string s =
         | Some f -> Float f
         | None -> fail "bad number")
   in
-  let rec parse_value () =
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
+    | Some ('{' | '[') when depth = max_depth -> fail "nesting too deep"
     | Some '{' ->
       advance ();
       skip_ws ();
@@ -221,7 +226,7 @@ let of_string s =
           let k = parse_string () in
           skip_ws ();
           expect ':';
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           skip_ws ();
           match peek () with
           | Some ',' ->
@@ -243,7 +248,7 @@ let of_string s =
       end
       else begin
         let rec items acc =
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           skip_ws ();
           match peek () with
           | Some ',' ->
@@ -264,7 +269,7 @@ let of_string s =
     | Some c -> fail (Printf.sprintf "unexpected '%c'" c)
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then fail "trailing garbage";
     v

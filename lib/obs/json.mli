@@ -1,12 +1,16 @@
-(** A minimal JSON tree: just enough for metrics snapshots and the
-    [BENCH_*.json] benchmark records, with zero dependencies.
+(** A minimal JSON tree with zero dependencies: the repo's one JSON
+    codec. The printer always emits valid JSON — floats carry a decimal
+    point or exponent (so masking tools can find them), and non-finite
+    floats become [null].
 
-    The printer always emits valid JSON — floats carry a decimal point or
-    exponent (so masking tools can find them), and non-finite floats
-    become [null]. The parser accepts anything the printer emits plus
-    ordinary interchange JSON (escapes, [\uXXXX], nested containers). It
-    is not a validating parser for adversarial input; benchmark files are
-    trusted local artifacts. *)
+    The parser reads input from outside (sockets, files) and is total:
+    every string yields [Ok] or an [Error] naming the byte offset. It
+    accepts RFC 8259 JSON, with [\uXXXX] surrogate pairs combined into
+    one UTF-8 scalar and lone halves rejected, nested up to 512 levels.
+    It is lenient in three ways: raw control characters in strings are
+    kept; a number is any run of digits, signs, ['.'], ['e'] and ['E']
+    that [int_of_string] or [float_of_string] reads (an [int] overflow
+    becomes a [Float]); and duplicate keys are kept in order. *)
 
 type t =
   | Null
@@ -20,6 +24,10 @@ type t =
 (** [to_string ?pretty v] prints [v]; [pretty] (default [false]) indents
     with two spaces. Object keys keep their construction order. *)
 val to_string : ?pretty:bool -> t -> string
+
+(** [escape_string b s] appends [s] to [b] as a quoted JSON string;
+    control characters are escaped, other bytes are copied. *)
+val escape_string : Buffer.t -> string -> unit
 
 (** [of_string s] parses one JSON value (surrounding whitespace allowed).
     Numbers without ['.'], ['e'] or ['E'] parse as [Int]. *)

@@ -272,25 +272,5 @@ let to_string ?(with_meta = true) tbl =
     tbl;
   Buffer.contents buf
 
-let read_file path =
-  (* Sys_error can fire at open or mid-read (e.g. the path is a
-     directory) — both are I/O errors, not parse errors. *)
-  try
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let n = in_channel_length ic in
-        really_input_string ic n)
-  with Sys_error m ->
-    Repair_error.raise_error (Io { file = path; detail = m })
-
-let load ~name path = parse_string ~file:path ~name (read_file path)
-
-let load_result ~name path = Repair_error.guard (fun () -> load ~name path)
-
-let save ?with_meta tbl path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_string ?with_meta tbl))
+let load ~name path =
+  parse_string ~file:path ~name (Repair_runtime.Io_fault.read_file path)

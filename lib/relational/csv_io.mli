@@ -47,11 +47,6 @@ val parse_result :
     [true]) the [#id] and [#weight] columns are included. *)
 val to_string : ?with_meta:bool -> Table.t -> string
 
-(** File variants of the above. *)
-
+(** [load ~name path] parses the file at [path], read with
+    {!Repair_runtime.Io_fault.read_file}. *)
 val load : name:string -> string -> Table.t
-
-val load_result :
-  name:string -> string -> (Table.t, Repair_runtime.Repair_error.t) result
-
-val save : ?with_meta:bool -> Table.t -> string -> unit

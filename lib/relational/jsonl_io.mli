@@ -9,9 +9,10 @@
     null are rejected — the paper's data model is first-normal-form with a
     flat value domain.
 
-    The parser is a minimal, dependency-free JSON subset reader sufficient
-    for this format; it accepts arbitrary whitespace and the standard
-    string escapes (quote, backslash, slash, n, t, r, b, f, uXXXX). *)
+    Each trimmed, non-blank line is parsed by
+    {!Repair_obs.Json.of_string}, so the syntax is that parser's; this
+    module maps flat objects to rows, and the first object's keys fix
+    the schema. *)
 
 (** [parse_string ?file ~name s] reads JSON-lines text. [file] (default
     ["<jsonl>"]) labels error values.
@@ -33,10 +34,6 @@ val parse_result :
     (default [true]) includes the [#id] and [#weight] keys. *)
 val to_string : ?with_meta:bool -> Table.t -> string
 
+(** [load ~name path] parses the file at [path], read with
+    {!Repair_runtime.Io_fault.read_file}. *)
 val load : name:string -> string -> Table.t
-
-val load_result :
-  name:string -> string -> (Table.t, Repair_runtime.Repair_error.t) result
-
-val save : ?with_meta:bool -> Table.t -> string -> unit
-

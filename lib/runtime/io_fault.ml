@@ -118,8 +118,6 @@ let write fd buf pos len =
       len
     end
 
-let write_substring fd s pos len = write fd (Bytes.of_string s) pos len
-
 let fsync fd =
   match trigger Fsync with
   | None | Some Short_write | Some (Bit_flip _) -> Unix.fsync fd
@@ -162,25 +160,45 @@ let write_all fd buf =
   go 0
 
 let read_file path =
-  let io detail = Repair_error.raise_error (Io { file = path; detail }) in
-  match Unix.openfile path [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error (e, _, _) -> io (Unix.error_message e)
-  | fd ->
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () ->
-        let buf = Buffer.create 4096 in
-        let chunk = Bytes.create 65536 in
-        let rec go () =
-          match read fd chunk 0 (Bytes.length chunk) with
-          | 0 -> Buffer.contents buf
-          | n ->
-            Buffer.add_subbytes buf chunk 0 n;
-            go ()
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-          | exception Unix.Unix_error (e, _, _) -> io (Unix.error_message e)
-        in
-        go ())
+  let io e =
+    Repair_error.raise_error (Io { file = path; detail = Unix.error_message e })
+  in
+  let fd =
+    try Unix.openfile path [ Unix.O_RDONLY ] 0
+    with Unix.Unix_error (e, _, _) -> io e
+  in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  (* [fill b off] reads into [b] from [off] until [b] is full or the file
+     ends, and returns the end offset. *)
+  let rec fill b off =
+    if off = Bytes.length b then off
+    else
+      match read fd b off (Bytes.length b - off) with
+      | 0 -> off
+      | n -> fill b (off + n)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill b off
+      | exception Unix.Unix_error (e, _, _) -> io e
+  in
+  (* A regular file is read into one buffer of its fstat size, so it is
+     allocated once. Anything else (a pipe, a device, a directory) is
+     read in 64 KB chunks until the end. *)
+  match Unix.fstat fd with
+  | exception Unix.Unix_error (e, _, _) -> io e
+  | { Unix.st_kind = Unix.S_REG; st_size; _ } ->
+    let b = Bytes.create st_size in
+    let n = fill b 0 in
+    if n = st_size then Bytes.unsafe_to_string b else Bytes.sub_string b 0 n
+  | _ ->
+    let buf = Buffer.create 65536 and chunk = Bytes.create 65536 in
+    let rec go () =
+      match fill chunk 0 with
+      | 0 -> Buffer.contents buf
+      | n ->
+        Buffer.add_subbytes buf chunk 0 n;
+        go ()
+    in
+    go ()
 
 (* [write_file_atomic] renames over [path] only when it is absent or a
    regular file (a symlink to one is replaced like the file, as any

@@ -24,7 +24,7 @@
     plan outside tests is never done. *)
 
 type op =
-  | Write  (** [Unix.write] / [Unix.write_substring] *)
+  | Write  (** [Unix.write] *)
   | Fsync  (** [Unix.fsync] *)
   | Rename  (** [Unix.rename] *)
   | Read  (** [Unix.read] *)
@@ -85,7 +85,6 @@ val with_plan : step list -> (unit -> 'a) -> 'a
     identical in every respect when no step fires. *)
 
 val write : Unix.file_descr -> Bytes.t -> int -> int -> int
-val write_substring : Unix.file_descr -> string -> int -> int -> int
 val fsync : Unix.file_descr -> unit
 val rename : string -> string -> unit
 val read : Unix.file_descr -> Bytes.t -> int -> int -> int
@@ -98,8 +97,11 @@ val read : Unix.file_descr -> Bytes.t -> int -> int -> int
 val write_all : Unix.file_descr -> Bytes.t -> unit
 
 (** [read_file path] reads the whole file through the shim, retrying
-    [EINTR] and absorbing short reads.
-    @raise Repair_error.Error [(Io _)] on open/read failure. *)
+    [EINTR] and absorbing short reads. A regular file is read up to its
+    [fstat] size at open, into one buffer allocated once; other files
+    are read until end of file.
+    @raise Repair_error.Error [(Io _)] on open/read failure, with the
+    system's message as the detail. *)
 val read_file : string -> string
 
 (** [write_file_atomic path text] writes [text] durably and atomically:

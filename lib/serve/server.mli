@@ -39,6 +39,9 @@ type listen =
   | Unix_sock of string  (** Unix-domain socket path (stale file replaced) *)
   | Tcp of int  (** TCP port, bound to 127.0.0.1 only *)
 
+(** [listen_name l] — the socket path, or ["127.0.0.1:PORT"]. *)
+val listen_name : listen -> string
+
 (** [10] — the drain deadline expired with requests still queued; they
     were cancelled (with structured replies), not silently dropped. *)
 val exit_drain_cancelled : int

@@ -5,8 +5,6 @@ module Timeseries = Repair_obs.Timeseries
 open Repair_relational
 open Repair_fd
 
-type target = Unix_sock of string | Tcp of int
-
 type spec = {
   requests : int;
   connections : int;
@@ -66,10 +64,9 @@ type report = {
 type line = { text : string; id : string option }
 
 type conn = {
-  fd : Unix.file_descr;
+  wire : Wire.t;
   mutable outbox : line list;  (** head is in flight *)
   mutable out_off : int;  (** bytes of the head already written *)
-  inbox : Buffer.t;
   mutable alive : bool;
 }
 
@@ -155,21 +152,15 @@ let interleave requests malformed =
     in
     weave 1 requests malformed []
 
-let connect target =
-  let domain, addr =
-    match target with
-    | Unix_sock path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
-    | Tcp port ->
-      (Unix.PF_INET, Unix.ADDR_INET (Unix.inet_addr_loopback, port))
+let connect listen =
+  let wire =
+    try Wire.connect listen
+    with Unix.Unix_error (e, _, _) ->
+      failwith
+        (Printf.sprintf "load_gen: cannot connect: %s" (Unix.error_message e))
   in
-  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-  (try Unix.connect fd addr
-   with Unix.Unix_error (e, _, _) ->
-     Unix.close fd;
-     failwith
-       (Printf.sprintf "load_gen: cannot connect: %s" (Unix.error_message e)));
-  Unix.set_nonblock fd;
-  { fd; outbox = []; out_off = 0; inbox = Buffer.create 4096; alive = true }
+  Unix.set_nonblock (Wire.fd wire);
+  { wire; outbox = []; out_off = 0; alive = true }
 
 let classify_reply reply =
   let ok =
@@ -195,12 +186,12 @@ let classify_reply reply =
       `Protocol
     | _ -> `Failed
 
-let run spec target =
+let run spec listen =
   if spec.requests < 1 then invalid_arg "Load_gen.run: requests must be >= 1";
   if spec.connections < 1 then
     invalid_arg "Load_gen.run: connections must be >= 1";
   let lines = interleave (make_corpus spec) (malformed_lines spec spec.requests) in
-  let conns = Array.init spec.connections (fun _ -> connect target) in
+  let conns = Array.init spec.connections (fun _ -> connect listen) in
   (* Round-robin the burst across connections up front; the select loop
      below just flushes outboxes and drains inboxes. *)
   List.iteri
@@ -342,23 +333,10 @@ let run spec target =
           | None -> ())
         due
   in
-  let drain_inbox c =
-    let data = Buffer.contents c.inbox in
-    let rec split from =
-      match String.index_from_opt data from '\n' with
-      | None ->
-        Buffer.clear c.inbox;
-        Buffer.add_substring c.inbox data from (String.length data - from)
-      | Some nl ->
-        handle_reply (String.sub data from (nl - from));
-        split (nl + 1)
-    in
-    split 0
-  in
   let kill c =
     if c.alive then begin
       c.alive <- false;
-      (try Unix.close c.fd with Unix.Unix_error _ -> ());
+      Wire.close c.wire;
       c.outbox <- []
     end
   in
@@ -368,7 +346,8 @@ let run spec target =
     | line :: rest -> (
       let len = String.length line.text in
       match
-        Unix.write_substring c.fd line.text c.out_off (len - c.out_off)
+        Unix.write_substring (Wire.fd c.wire) line.text c.out_off
+          (len - c.out_off)
       with
       | 0 -> ()
       | n ->
@@ -386,13 +365,17 @@ let run spec target =
         ()
       | exception Unix.Unix_error _ -> kill c)
   in
+  let rec drain c =
+    match Wire.next_line c.wire with
+    | Some line ->
+      handle_reply line;
+      drain c
+    | None -> ()
+  in
   let pump_in c =
-    let buf = Bytes.create 65536 in
-    match Unix.read c.fd buf 0 (Bytes.length buf) with
+    match Wire.fill c.wire with
     | 0 -> kill c
-    | n ->
-      Buffer.add_subbytes c.inbox buf 0 n;
-      drain_inbox c
+    | _ -> drain c
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
       ->
       ()
@@ -413,12 +396,12 @@ let run spec target =
       let readers =
         Array.to_list conns
         |> List.filter (fun c -> c.alive)
-        |> List.map (fun c -> c.fd)
+        |> List.map (fun c -> Wire.fd c.wire)
       in
       let writers =
         Array.to_list conns
         |> List.filter (fun c -> c.alive && c.outbox <> [])
-        |> List.map (fun c -> c.fd)
+        |> List.map (fun c -> Wire.fd c.wire)
       in
       let timeout = min 0.2 (deadline -. now) in
       let timeout =
@@ -430,8 +413,9 @@ let run spec target =
       match Unix.select readers writers [] timeout with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
       | rs, ws, _ ->
-        Array.iter (fun c -> if c.alive && List.mem c.fd ws then pump_out c) conns;
-        Array.iter (fun c -> if c.alive && List.mem c.fd rs then pump_in c) conns;
+        let ready fds c = c.alive && List.mem (Wire.fd c.wire) fds in
+        Array.iter (fun c -> if ready ws c then pump_out c) conns;
+        Array.iter (fun c -> if ready rs c then pump_in c) conns;
         loop ()
     end
   in
@@ -458,12 +442,9 @@ let run spec target =
    every reply lands in exactly one outcome bucket ([retried] holds the
    shed replies that scheduled a retry). Checked at reporting time so a
    classification regression fails loudly rather than skewing tallies. *)
-let check_identities r =
-  assert (r.sent = r.answered + r.unanswered);
-  assert (r.answered = r.ok + r.shed + r.failed + r.protocol_errors + r.retried)
-
 let report_json r =
-  check_identities r;
+  assert (r.sent = r.answered + r.unanswered);
+  assert (r.answered = r.ok + r.shed + r.failed + r.protocol_errors + r.retried);
   Json.Obj
     [ ("sent", Json.Int r.sent);
       ("answered", Json.Int r.answered);
@@ -477,13 +458,3 @@ let report_json r =
       ("wall_s", Json.Float r.wall_s);
       ("latency", Histogram.summary_json r.latency);
       ("rolling", r.rolling) ]
-
-let pp_report ppf r =
-  check_identities r;
-  Fmt.pf ppf
-    "sent %d answered %d (ok %d, degraded %d, shed %d, failed %d, protocol \
-     %d, unanswered %d, retried %d) in %.2fs; latency p50 %.4fs p99 %.4fs"
-    r.sent r.answered r.ok r.degraded r.shed r.failed r.protocol_errors
-    r.unanswered r.retried r.wall_s
-    (Histogram.quantile r.latency 0.5)
-    (Histogram.quantile r.latency 0.99)

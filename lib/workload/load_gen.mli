@@ -20,8 +20,6 @@
     and the [repair-cli load] subcommand; tests drive {!Repair_serve}
     engines directly instead. *)
 
-type target = Unix_sock of string | Tcp of int
-
 type spec = {
   requests : int;  (** repair requests to send (excluding poison/malformed) *)
   connections : int;  (** sockets to spread the burst across *)
@@ -77,10 +75,11 @@ type report = {
           server's [stats] op *)
 }
 
-(** [run spec target] executes one burst against a listening server.
+(** [run spec listen] executes one burst against a listening server,
+    over non-blocking {!Wire} connections.
 
-    @raise Failure when the target cannot be connected. *)
-val run : spec -> target -> report
+    @raise Failure when the server cannot be connected. *)
+val run : spec -> Repair_serve.Server.listen -> report
 
 (** [report_json r] summarises [r] (latency via
     {!Repair_obs.Histogram.summary_json}; [rolling] passed through).
@@ -88,6 +87,3 @@ val run : spec -> target -> report
     [sent = answered + unanswered] and
     [answered = ok + shed + failed + protocol_errors + retried]. *)
 val report_json : report -> Repair_obs.Json.t
-
-(** Same identities asserted as {!report_json}. *)
-val pp_report : Format.formatter -> report -> unit

@@ -8,63 +8,39 @@ type sample = {
   exposition : string;
 }
 
+(* The members of object [key] of [j] that [f] converts. *)
+let members f key j =
+  match Json.member key j with
+  | Some (Json.Obj kvs) ->
+    List.filter_map (fun (k, v) -> Option.map (fun x -> (k, x)) (f v)) kvs
+  | _ -> []
+
 (* Blocking one-shot client: the operator view has no pipelining needs,
    so a plain connect / write line / read line keeps the failure modes
    obvious. *)
-let fetch target =
-  let domain, addr =
-    match target with
-    | Load_gen.Unix_sock path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
-    | Load_gen.Tcp port ->
-      (Unix.PF_INET, Unix.ADDR_INET (Unix.inet_addr_loopback, port))
-  in
-  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-  let finally () = try Unix.close fd with Unix.Unix_error _ -> () in
+let fetch listen =
   match
-    Fun.protect ~finally (fun () ->
-        Unix.connect fd addr;
-        let line = "{\"id\": \"top\", \"op\": \"stats\"}\n" in
-        let _ = Unix.write_substring fd line 0 (String.length line) in
-        let buf = Buffer.create 4096 in
-        let chunk = Bytes.create 65536 in
-        let rec read_line () =
-          if Buffer.length buf > 0 && Buffer.nth buf (Buffer.length buf - 1) = '\n'
-          then ()
-          else
-            match Unix.read fd chunk 0 (Bytes.length chunk) with
-            | 0 -> ()
-            | n ->
-              (match Bytes.index_from_opt chunk 0 '\n' with
-              | Some i when i < n -> Buffer.add_subbytes buf chunk 0 (i + 1)
-              | _ ->
-                Buffer.add_subbytes buf chunk 0 n;
-                read_line ())
-        in
-        read_line ();
-        Buffer.contents buf)
+    let w = Wire.connect listen in
+    Fun.protect
+      ~finally:(fun () -> Wire.close w)
+      (fun () ->
+        Wire.send w "{\"id\": \"top\", \"op\": \"stats\"}\n";
+        Wire.read_line w)
   with
   | exception Unix.Unix_error (e, _, _) ->
     Error (Printf.sprintf "top: cannot reach server: %s" (Unix.error_message e))
-  | "" -> Error "top: server closed the connection without a reply"
-  | line -> (
+  | None -> Error "top: server closed the connection without a reply"
+  | Some line -> (
     match Json.of_string line with
     | Error e -> Error (Printf.sprintf "top: unparsable stats reply: %s" e)
     | Ok reply -> (
       match Json.member "ok" reply with
       | Some (Json.Bool true) ->
         let obj k = Option.value ~default:(Json.Obj []) (Json.member k reply) in
-        let totals =
-          match Json.member "totals" reply with
-          | Some (Json.Obj kvs) ->
-            List.filter_map
-              (fun (k, v) -> Option.map (fun n -> (k, n)) (Json.int_value v))
-              kvs
-          | _ -> []
-        in
+        let totals = members Json.int_value "totals" reply in
         let exposition =
-          match Json.member "exposition" reply with
-          | Some (Json.String s) -> s
-          | _ -> ""
+          Option.bind (Json.member "exposition" reply) Json.string_value
+          |> Option.value ~default:""
         in
         Ok { stats = obj "stats"; totals; serve = obj "serve"; exposition }
       | _ ->
@@ -79,27 +55,15 @@ let exposition s = s.exposition
 let float_member k j =
   Option.bind (Json.member k j) Json.float_value |> Option.value ~default:0.0
 
-let obj_members k j =
-  match Json.member k j with Some (Json.Obj kvs) -> kvs | _ -> []
-
-let rates s =
-  obj_members "rates" s.stats
-  |> List.filter_map (fun (k, v) ->
-         Option.map (fun f -> (k, f)) (Json.float_value v))
-
-let gauges s =
-  obj_members "gauges" s.stats
-  |> List.filter_map (fun (k, v) ->
-         Option.map (fun f -> (k, f)) (Json.float_value v))
+let rates s = members Json.float_value "rates" s.stats
+let gauges s = members Json.float_value "gauges" s.stats
 
 (* Rolling per-histogram tails, rebuilt from the summary JSON so the
    quantile estimator is the library's own. *)
 let rolling s =
-  obj_members "rolling" s.stats
-  |> List.filter_map (fun (k, v) ->
-         match Histogram.of_summary_json v with
-         | Ok h -> Some (k, h)
-         | Error _ -> None)
+  members
+    (fun v -> Result.to_option (Histogram.of_summary_json v))
+    "rolling" s.stats
 
 let n_windows s =
   match Json.member "windows" s.stats with

@@ -1,7 +1,7 @@
 (** The client half of the [repair-cli top] operator view: fetch one
     [stats] reply from a running repair-serve daemon and render it.
 
-    {!fetch} opens a blocking one-shot connection, sends a single
+    {!fetch} opens a blocking one-shot {!Wire} connection, sends a single
     [stats] request, and parses the reply into a {!sample}: the rolling
     time-series object ({!Repair_obs.Timeseries.to_json} shape), the
     cumulative counter totals, the ["serve"] accounting section, and the
@@ -21,10 +21,10 @@ type sample = {
   exposition : string;  (** Prometheus-style text exposition *)
 }
 
-(** [fetch target] — one blocking [stats] round-trip. [Error] carries a
-    human-readable reason (unreachable server, refused op, unparsable
-    reply); it never raises. *)
-val fetch : Load_gen.target -> (sample, string) result
+(** [fetch listen] — one blocking [stats] round-trip over {!Wire}.
+    [Error] carries a human-readable reason (unreachable server, closed
+    connection, refused op, unparsable reply); it never raises. *)
+val fetch : Repair_serve.Server.listen -> (sample, string) result
 
 val exposition : sample -> string
 

@@ -702,6 +702,35 @@ let test_batch_refused_inputs () =
   Alcotest.(check bool) "no null distance" true
     (List.for_all (fun j -> Json.member "distance" j <> Some Json.Null) jobs)
 
+(* File errors are class io, and their detail names the path once. A
+   missing output directory used to be an internal Sys_error, and a
+   missing input read "PATH: PATH: No such file or directory". *)
+let test_batch_io_errors () =
+  let dir = fresh_dir () in
+  let path name = Filename.concat dir name in
+  write_file (path "ab.csv") "A,B\n1,1\n1,2\n";
+  let out = path "no-such-dir/out.csv" and gone = path "gone.csv" in
+  let manifest =
+    M.parse_string
+      (Printf.sprintf
+         {|{ "jobs": [
+             { "id": "no-dir", "input": "%s", "fds": "A -> B",
+               "output": "%s" },
+             { "id": "no-input", "input": "%s", "fds": "A -> B" } ] }|}
+         (path "ab.csv") out gone)
+  in
+  let s = R.Batch.run ~journal:(path "j.jsonl") manifest in
+  Alcotest.(check (list (triple string string string)))
+    "io quarantines"
+    [ ("no-dir", "io", out ^ ": No such file or directory");
+      ("no-input", "io", gone ^ ": No such file or directory") ]
+    (List.map
+       (fun (r : Runner.job_result) ->
+         match r.state with
+         | Runner.Quarantined q -> (r.job.id, q.error, q.detail)
+         | Runner.Committed _ -> (r.job.id, "committed", ""))
+       s.results)
+
 (* The exact rung takes at most S_exact.size_limit rows even when a job
    asks for it by name: under "fail" a larger hard table is quarantined
    as size-limit, and under the default "degrade" it commits the
@@ -769,4 +798,5 @@ let () =
           Alcotest.test_case "refused inputs" `Quick
             test_batch_refused_inputs;
           Alcotest.test_case "exact size limit" `Quick
-            test_batch_exact_size_limit ] ) ]
+            test_batch_exact_size_limit;
+          Alcotest.test_case "io errors" `Quick test_batch_io_errors ] ) ]

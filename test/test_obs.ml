@@ -801,7 +801,11 @@ let test_json_errors () =
       | Ok _ -> Alcotest.failf "accepted malformed input %S" text)
     [ ""; "{"; "[1,]"; "{\"a\" 1}"; "tru"; "1 2"; "\"unterminated";
       (* a \u escape takes exactly four hex digits *)
-      "\"\\u1_23\""; "\"\\u12_3\"" ]
+      "\"\\u1_23\""; "\"\\u12_3\"";
+      (* nesting is bounded, so input depth never becomes stack depth *)
+      String.make 513 '[' ^ String.make 513 ']' ];
+  Alcotest.(check bool) "512 levels parse" true
+    (Result.is_ok (Json.of_string (String.make 512 '[' ^ String.make 512 ']')))
 
 (* \uXXXX decoding: surrogate pairs must combine into one astral-plane
    scalar (proper UTF-8, not CESU-8), and lone halves are malformed. *)

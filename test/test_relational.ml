@@ -450,7 +450,15 @@ let test_jsonl_input_variants () =
   Alcotest.(check int) "two rows, auto ids" 2 (Table.size t);
   Alcotest.check value "unicode escape" (Value.str "A")
     (Tuple.get (Table.tuple t 2) 1);
-  Alcotest.(check bool) "unit weights" true (Table.is_unweighted t)
+  Alcotest.(check bool) "unit weights" true (Table.is_unweighted t);
+  (* A CR inside a line is JSON whitespace; a string #weight parses. *)
+  let t =
+    Jsonl_io.parse_string ~name:"R"
+      "{\"A\":\r1,\r\"#weight\": \"2.5\"}\r\n{\"A\": 2, \"#weight\": \"4\"}\n"
+  in
+  Alcotest.(check int) "CR inside a line" 2 (Table.size t);
+  check_float "string #weight" 2.5 (Table.weight t 1);
+  check_float "integral string #weight" 4.0 (Table.weight t 2)
 
 (* \uXXXX escapes: exactly four hex digits, surrogate pairs combine into
    one astral-plane scalar (UTF-8, not CESU-8), and lone halves are
@@ -490,7 +498,21 @@ let test_jsonl_errors () =
   Alcotest.(check bool) "missing attr" true
     (fails "{\"A\": 1, \"B\": 2}\n{\"A\": 3}");
   Alcotest.(check bool) "empty input" true (fails "");
-  Alcotest.(check bool) "trailing junk" true (fails "{\"A\": 1} x")
+  Alcotest.(check bool) "trailing junk" true (fails "{\"A\": 1} x");
+  (* Values JSON has but a row does not are Parse errors at their line. *)
+  let line_of s =
+    match Jsonl_io.parse_result ~name:"R" s with
+    | Error (E.Parse { line; _ }) -> line
+    | _ -> None
+  in
+  List.iter
+    (fun (what, second) ->
+      Alcotest.(check (option int)) what (Some 2)
+        (line_of ("{\"A\": 1, \"#weight\": 2}\n" ^ second)))
+    [ ("array line", "[1]");
+      ("out-of-range integer", "{\"A\": 99999999999999999999}");
+      ("float #weight", "{\"A\": 2, \"#weight\": 1.5}");
+      ("exponent #weight", "{\"A\": 2, \"#weight\": 1e3}") ]
 
 let test_jsonl_fractional_weight () =
   let t =
@@ -507,9 +529,10 @@ let test_file_io_roundtrips () =
   Fun.protect
     ~finally:(fun () -> Sys.remove csv_path; Sys.remove jsonl_path)
     (fun () ->
-      Csv_io.save t csv_path;
+      let save path text = Repair_runtime.Io_fault.write_file_atomic path text in
+      save csv_path (Csv_io.to_string t);
       Alcotest.check table "csv file roundtrip" t (Csv_io.load ~name:"R" csv_path);
-      Jsonl_io.save t jsonl_path;
+      save jsonl_path (Jsonl_io.to_string t);
       Alcotest.check table "jsonl file roundtrip" t
         (Jsonl_io.load ~name:"R" jsonl_path))
 
@@ -717,11 +740,13 @@ let test_io_error_files () =
   let module E = Repair_runtime.Repair_error in
   let missing = Filename.temp_file "repair_test" ".gone" in
   Sys.remove missing;
-  (match Csv_io.load_result ~name:"R" missing with
-  | Error (E.Io { file; _ }) ->
-    Alcotest.(check string) "io error carries path" missing file
+  (match E.guard (fun () -> Csv_io.load ~name:"R" missing) with
+  | Error (E.Io { file; detail }) ->
+    Alcotest.(check string) "io error carries path" missing file;
+    Alcotest.(check string) "and names it once" "No such file or directory"
+      detail
   | _ -> Alcotest.fail "missing CSV file must be Io");
-  (match Jsonl_io.load_result ~name:"R" missing with
+  (match E.guard (fun () -> Jsonl_io.load ~name:"R" missing) with
   | Error (E.Io _) -> ()
   | _ -> Alcotest.fail "missing JSONL file must be Io");
   let dir = Filename.temp_file "repair_test" ".dir" in
@@ -730,8 +755,9 @@ let test_io_error_files () =
   Fun.protect
     ~finally:(fun () -> Unix.rmdir dir)
     (fun () ->
-      match Csv_io.load_result ~name:"R" dir with
-      | Error (E.Io _) -> ()
+      match E.guard (fun () -> Csv_io.load ~name:"R" dir) with
+      | Error (E.Io { detail; _ }) ->
+        Alcotest.(check string) "directory" "Is a directory" detail
       | _ -> Alcotest.fail "directory must be Io")
 
 (* ---------- properties ---------- *)

@@ -531,7 +531,7 @@ let test_end_to_end_unix_socket () =
           poison_every = Some 5;
           malformed_every = Some 6;
           wall_timeout_s = 20.0 }
-        (Repair_workload.Load_gen.Unix_sock path)
+        (Server.Unix_sock path)
     in
     Alcotest.(check int) "everything answered"
       report.Repair_workload.Load_gen.sent
@@ -786,7 +786,7 @@ let test_end_to_end_parallel_accounting () =
           poison_every = Some 5;
           malformed_every = Some 7;
           wall_timeout_s = 20.0 }
-        (Repair_workload.Load_gen.Unix_sock path)
+        (Server.Unix_sock path)
     in
     Alcotest.(check int) "everything answered"
       report.Repair_workload.Load_gen.sent
@@ -870,7 +870,7 @@ let test_load_gen_retry_accounting () =
           retries = 6;
           retry_backoff_ms = 20;
           wall_timeout_s = 30.0 }
-        (Repair_workload.Load_gen.Unix_sock path)
+        (Server.Unix_sock path)
     in
     let open Repair_workload.Load_gen in
     (* report_json runs the identity assertions *)
@@ -887,6 +887,104 @@ let test_load_gen_retry_accounting () =
     | Unix.WEXITED 0 -> ()
     | Unix.WEXITED c -> Alcotest.failf "daemon exited %d" c
     | _ -> Alcotest.fail "daemon killed by signal"
+
+(* ---------- the client framing (Wire) ---------- *)
+
+module Wire = Repair_workload.Wire
+module Io_fault = Repair_runtime.Io_fault
+
+let with_socketpair f =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let close fd = try Unix.close fd with Unix.Unix_error _ -> () in
+  Fun.protect ~finally:(fun () -> close a; close b) (fun () -> f a b)
+
+let write_string fd s = ignore (Unix.write_substring fd s 0 (String.length s))
+
+let test_wire_one_write_two_lines () =
+  with_socketpair @@ fun a b ->
+  write_string a "{\"id\": 1}\n{\"id\": 2}\n";
+  let w = Wire.of_fd b in
+  let first = Wire.read_line w in
+  let second = Wire.read_line w in
+  Alcotest.(check (list (option string)))
+    "two lines, in order"
+    [ Some "{\"id\": 1}"; Some "{\"id\": 2}" ]
+    [ first; second ]
+
+let test_wire_long_line_in_pieces () =
+  with_socketpair @@ fun a b ->
+  let line = String.init 200_000 (fun i -> Char.chr (97 + (i mod 26))) in
+  let text = line ^ "\ntail\n" in
+  let writer =
+    Domain.spawn (fun () ->
+        let rec go off =
+          if off < String.length text then begin
+            let n = min 1024 (String.length text - off) in
+            ignore (Unix.write_substring a text off n);
+            go (off + n)
+          end
+        in
+        go 0)
+  in
+  let w = Wire.of_fd b in
+  let first = Wire.read_line w in
+  let second = Wire.read_line w in
+  Domain.join writer;
+  Alcotest.(check bool) "200 KB line whole" true (first = Some line);
+  Alcotest.(check (option string)) "then the next line" (Some "tail") second
+
+let test_wire_eof_mid_line () =
+  with_socketpair @@ fun a b ->
+  write_string a "{\"id\": 1}\n{\"partial\":";
+  Unix.shutdown a Unix.SHUTDOWN_SEND;
+  let w = Wire.of_fd b in
+  Alcotest.(check (option string)) "complete line" (Some "{\"id\": 1}")
+    (Wire.read_line w);
+  Alcotest.(check (option string)) "no partial line" None (Wire.read_line w)
+
+(* A server that closes mid-reply gives [top] its "closed" error, not
+   a parse error on half a line. *)
+let test_top_fetch_closed_mid_reply () =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "repair_wire_%d.sock" (Unix.getpid ()))
+  in
+  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close lfd;
+      try Unix.unlink path with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  Unix.bind lfd (Unix.ADDR_UNIX path);
+  Unix.listen lfd 1;
+  let server =
+    Domain.spawn (fun () ->
+        let w = Wire.of_fd (fst (Unix.accept lfd)) in
+        let request = Wire.read_line w in
+        write_string (Wire.fd w) "{\"ok\": tr";
+        Wire.close w;
+        request)
+  in
+  let r = Repair_workload.Top.fetch (Server.Unix_sock path) in
+  Alcotest.(check bool) "the stats request arrived" true
+    (Domain.join server <> None);
+  match r with
+  | Error m ->
+    Alcotest.(check string) "closed error"
+      "top: server closed the connection without a reply" m
+  | Ok _ -> Alcotest.fail "half a reply must not parse"
+
+let test_wire_send_short_writes () =
+  with_socketpair @@ fun a b ->
+  let body = String.init 10_000 (fun i -> Char.chr (48 + (i mod 10))) in
+  let short at = { Io_fault.op = Io_fault.Write; at; kind = Io_fault.Short_write } in
+  Io_fault.with_plan [ short 1; short 2; short 3 ] (fun () ->
+      Wire.send (Wire.of_fd a) (body ^ "\n");
+      Alcotest.(check int) "three short writes" 3
+        (List.length (Io_fault.fired ())));
+  Alcotest.(check bool) "every byte, in order" true
+    (Wire.read_line (Wire.of_fd b) = Some body)
 
 let () =
   Alcotest.run "serve"
@@ -926,4 +1024,15 @@ let () =
           Alcotest.test_case "4-domain server keeps the books balanced"
             `Quick test_end_to_end_parallel_accounting;
           Alcotest.test_case "retry accounting counts each reply once"
-            `Quick test_load_gen_retry_accounting ] ) ]
+            `Quick test_load_gen_retry_accounting ] );
+      ( "wire",
+        [ Alcotest.test_case "one write, two lines" `Quick
+            test_wire_one_write_two_lines;
+          Alcotest.test_case "200 KB line in 1 KB pieces" `Quick
+            test_wire_long_line_in_pieces;
+          Alcotest.test_case "EOF before a newline" `Quick
+            test_wire_eof_mid_line;
+          Alcotest.test_case "top: closed mid-reply" `Quick
+            test_top_fetch_closed_mid_reply;
+          Alcotest.test_case "send loops on short writes" `Quick
+            test_wire_send_short_writes ] ) ]
