@@ -167,8 +167,8 @@ let read_file path =
     try Unix.openfile path [ Unix.O_RDONLY ] 0
     with Unix.Unix_error (e, _, _) -> io e
   in
-  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-  @@ fun () ->
+  let close () = try Unix.close fd with Unix.Unix_error _ -> () in
+  Fun.protect ~finally:close @@ fun () ->
   (* [fill b off] reads into [b] from [off] until [b] is full or the file
      ends, and returns the end offset. *)
   let rec fill b off =

@@ -444,7 +444,8 @@ let run spec listen =
    classification regression fails loudly rather than skewing tallies. *)
 let report_json r =
   assert (r.sent = r.answered + r.unanswered);
-  assert (r.answered = r.ok + r.shed + r.failed + r.protocol_errors + r.retried);
+  assert (
+    r.answered = r.ok + r.shed + r.failed + r.protocol_errors + r.retried);
   Json.Obj
     [ ("sent", Json.Int r.sent);
       ("answered", Json.Int r.answered);

@@ -40,8 +40,8 @@ let fill t =
   if t.len + chunk > Bytes.length t.buf then begin
     let live = t.len - t.start in
     let b =
-      if live + chunk > Bytes.length t.buf then Bytes.create (2 * (live + chunk))
-      else t.buf
+      if live + chunk <= Bytes.length t.buf then t.buf
+      else Bytes.create (2 * (live + chunk))
     in
     Bytes.blit t.buf t.start b 0 live;
     t.buf <- b;
