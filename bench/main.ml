@@ -763,8 +763,11 @@ let e19 () =
                2-approximation.
 
    The full run self-checks near-linear growth: from 10k to 100k rows
-   (10× the data) each workload's time may grow at most 25×. The smoke
-   subset keeps only the 1k point so CI can gate the records cheaply. *)
+   (10× the data) each workload's time may grow at most 25×. Each point
+   is timed once, after a full major collection, so that it does not
+   also pay the collector's debt from earlier points and experiments.
+   The smoke subset keeps only the 1k point so CI can gate the records
+   cheaply. *)
 let e20_smoke = ref false
 
 let e20 () =
@@ -776,6 +779,7 @@ let e20 () =
   let fd_ab = Fd_set.of_list [ Fd.make xa xb ] in
   let sizes = if !e20_smoke then [ 1_000 ] else [ 1_000; 10_000; 100_000 ] in
   let time f =
+    Gc.full_major ();
     let t0 = Unix.gettimeofday () in
     let r = f () in
     (r, (Unix.gettimeofday () -. t0) *. 1000.0)
