@@ -336,89 +336,12 @@ let is_unweighted tbl =
   let rec go k = k >= n || (weight_at tbl k = w0 && go (k + 1)) in
   go 1
 
-(* ---------- grouping on interned code columns ---------- *)
-
-module Key = struct
-  type t = int array
-
-  let equal a b =
-    let n = Array.length a in
-    n = Array.length b
-    &&
-    let rec go i = i >= n || (a.(i) = b.(i) && go (i + 1)) in
-    go 0
-
-  let hash a = Array.fold_left (fun h c -> (h * 31) + c + 1) 17 a
-end
-
-module Ktbl = Hashtbl.Make (Key)
-
-(* Partition store rows [rows] by the interned codes of columns [cols].
-   Returns groups as arrays of indices into [rows], groups in
-   first-seen order, members in input order. One hash pass + one
-   bucketing pass: O(|rows|) for any number of groups. *)
-let partition (st : store) cols rows =
-  let k = Array.length cols in
-  let n = Array.length rows in
-  if n = 0 then []
-  else if k = 0 then [ Array.init n (fun j -> j) ]
-  else begin
-    let gid = Array.make n 0 in
-    let n_groups = ref 0 in
-    (if k = 1 then begin
-       let col = st.codes.(cols.(0)) in
-       let index = Hashtbl.create (2 * n) in
-       for j = 0 to n - 1 do
-         let c = col.(rows.(j)) in
-         match Hashtbl.find_opt index c with
-         | Some g -> gid.(j) <- g
-         | None ->
-           let g = !n_groups in
-           incr n_groups;
-           Hashtbl.add index c g;
-           gid.(j) <- g
-       done
-     end
-     else begin
-       let code_cols = Array.map (fun c -> st.codes.(c)) cols in
-       let index = Ktbl.create (2 * n) in
-       for j = 0 to n - 1 do
-         let r = rows.(j) in
-         let key = Array.map (fun col -> col.(r)) code_cols in
-         match Ktbl.find_opt index key with
-         | Some g -> gid.(j) <- g
-         | None ->
-           let g = !n_groups in
-           incr n_groups;
-           Ktbl.add index key g;
-           gid.(j) <- g
-       done
-     end);
-    let counts = Array.make !n_groups 0 in
-    Array.iter (fun g -> counts.(g) <- counts.(g) + 1) gid;
-    let out = Array.map (fun c -> Array.make c 0) counts in
-    let fill = Array.make !n_groups 0 in
-    for j = 0 to n - 1 do
-      let g = gid.(j) in
-      out.(g).(fill.(g)) <- j;
-      fill.(g) <- fill.(g) + 1
-    done;
-    Array.to_list out
-  end
-
-let visible_rows tbl =
-  match tbl.view with
-  | Rows a -> a
-  | All -> Array.init tbl.len (fun k -> k)
-
-let cols_of tbl x = Array.of_list (Schema.indices_of tbl.schema x)
-
-(* ---------- runners and chunked grouping ---------- *)
+(* ---------- runners ---------- *)
 
 type runner = {
   run : 'a. (unit -> 'a) array -> 'a array;
-  width : int;  (* natural fan-out: chunk count when the caller has no
-                   better choice (a pool's domain count) *)
+  width : int;  (* shard count: how many tasks a caller splits work into
+                   (a pool's domain count) *)
 }
 
 let seq_runner = { run = (fun tasks -> Array.map (fun f -> f ()) tasks); width = 1 }
@@ -446,113 +369,120 @@ let fold_budgeted runner budget f combine init xs =
       (runner.run (Array.of_list (List.map task xs)))
   | _ -> List.fold_left (fun acc x -> combine acc (f budget x)) init xs
 
-(* Deterministic chunk layout: [chunks] near-equal contiguous slices of
-   [0 .. n-1], the remainder spread over the leading chunks.
-   [chunk_sizes] overrides the layout (scheduler-perturbation tests
-   exercise this); the sizes must sum to [n]. *)
-let chunk_layout ?chunk_sizes ~chunks n =
-  match chunk_sizes with
-  | Some sizes ->
-    if Array.exists (fun s -> s < 0) sizes then
-      invalid_arg "Table.chunk_layout: negative chunk size";
-    if Array.fold_left ( + ) 0 sizes <> n then
-      invalid_arg "Table.chunk_layout: chunk sizes must sum to the row count";
-    let off = ref 0 in
-    Array.map
-      (fun len ->
-        let lo = !off in
-        off := lo + len;
-        (lo, len))
-      sizes
-  | None ->
-    let chunks = max 1 (min chunks (max 1 n)) in
-    let base = n / chunks and rem = n mod chunks in
-    Array.init chunks (fun c ->
-        let len = base + if c < rem then 1 else 0 in
-        let lo = (c * base) + min c rem in
-        (lo, len))
+(* ---------- grouping on interned code columns ---------- *)
 
-(* [partition] over contiguous row chunks, one runner task per chunk,
-   merged in chunk order. The merge reconstitutes the one-chunk result
-   exactly and independently of the layout: scanning chunks in index
-   order (and, within a chunk, local groups in first-seen order) visits
-   keys in global first-seen order, and appending member slices chunk by
-   chunk preserves global input order. Workers only read code arrays;
-   the merge runs after the barrier. *)
-let partition_chunked ?(runner = seq_runner) ?chunk_sizes (st : store) cols
-    rows =
-  let n = Array.length rows in
-  let layout = chunk_layout ?chunk_sizes ~chunks:runner.width n in
-  if Array.length layout <= 1 then partition st cols rows
-  else begin
-    let local (lo, len) () =
-      partition st cols (Array.sub rows lo len)
-      |> List.map (Array.map (fun j -> lo + j))
-    in
-    let key members =
-      Array.map (fun c -> st.codes.(c).(rows.(members.(0)))) cols
-    in
-    let index = Ktbl.create (2 * n) in
-    let parts = ref [] in
-    Array.iter
-      (List.iter (fun members ->
-           let k = key members in
-           match Ktbl.find_opt index k with
-           | Some slices -> slices := members :: !slices
-           | None ->
-             let slices = ref [ members ] in
-             Ktbl.add index k slices;
-             parts := slices :: !parts))
-      (runner.run (Array.map local layout));
-    List.rev_map (fun slices -> Array.concat (List.rev !slices)) !parts
-  end
+let cols_of tbl x = Array.of_list (Schema.indices_of tbl.schema x)
 
-let group_by ?runner ?chunk_sizes tbl x =
-  let cols = cols_of tbl x in
-  let rows = visible_rows tbl in
-  partition_chunked ?runner ?chunk_sizes tbl.store cols rows
+(* The one classifier behind every grouping. Row [p] of [0, n) is store
+   row [p] of an [All] view and [a.(p)] of [Rows a]; two rows share a
+   class when they have the same prior class ([classes.(p)], all 0 when
+   absent) and the same codes in columns [cols]. Classes are numbered
+   0, 1, ... in order of first row. Open addressing over class numbers:
+   a slot holds the class whose key is (its prior class, the codes of
+   its first row), so a probe compares in place and no key is ever
+   built. The table grows with the class count, kept at most half full.
+   Returns each row's class, the class count, and the first store row
+   of each class. *)
+let classify (st : store) ?classes cols view n =
+  let cols = Array.map (fun c -> st.codes.(c)) cols in
+  let k = Array.length cols in
+  let hash c r =
+    let h = ref c in
+    for i = 0 to k - 1 do
+      h := (!h * 0x100000001b3) lxor cols.(i).(r)
+    done;
+    let h = !h * 0x2545F4914F6CDD1D in
+    h lxor (h lsr 31)
+  in
+  let first_row = ref (Array.make 8 0) and old_class = ref (Array.make 8 0) in
+  let slots = ref (Array.make 16 (-1)) and count = ref 0 in
+  let same g r c =
+    !old_class.(g) = c
+    &&
+    let r' = !first_row.(g) and i = ref 0 in
+    while !i < k && cols.(!i).(r') = cols.(!i).(r) do
+      incr i
+    done;
+    !i = k
+  in
+  let rec free sl s =
+    if sl.(s) < 0 then s else free sl ((s + 1) land (Array.length sl - 1))
+  in
+  let grow () =
+    let cap = 2 * Array.length !first_row in
+    let extend a =
+      let b = Array.make cap 0 in
+      Array.blit a 0 b 0 !count;
+      b
+    in
+    first_row := extend !first_row;
+    old_class := extend !old_class;
+    let sl = Array.make (2 * cap) (-1) in
+    for g = 0 to !count - 1 do
+      sl.(free sl (hash !old_class.(g) !first_row.(g) land ((2 * cap) - 1)))
+      <- g
+    done;
+    slots := sl
+  in
+  let out = Array.make n 0 in
+  for p = 0 to n - 1 do
+    let r = match view with All -> p | Rows a -> a.(p) in
+    let c = match classes with None -> 0 | Some a -> a.(p) in
+    let h = hash c r in
+    let sl = !slots in
+    let s = ref (h land (Array.length sl - 1)) in
+    while sl.(!s) >= 0 && not (same sl.(!s) r c) do
+      s := (!s + 1) land (Array.length sl - 1)
+    done;
+    if sl.(!s) >= 0 then out.(p) <- sl.(!s)
+    else begin
+      let g = !count in
+      if g = Array.length !first_row then grow ();
+      let sl = !slots in
+      sl.(free sl (h land (Array.length sl - 1))) <- g;
+      !first_row.(g) <- r;
+      !old_class.(g) <- c;
+      count := g + 1;
+      out.(p) <- g
+    end
+  done;
+  (out, !count, !first_row)
+
+(* Rows [0, n) of [view] (as in [classify]) grouped by the codes of
+   [cols]: arrays of row numbers, groups in first-seen order, members in
+   input order. One classifying pass and one bucketing pass: O(n) for
+   any number of groups. *)
+let partition st cols view n =
+  let cls, count, _ = classify st cols view n in
+  let sizes = Array.make count 0 in
+  Array.iter (fun g -> sizes.(g) <- sizes.(g) + 1) cls;
+  let out = Array.map (fun c -> Array.make c 0) sizes in
+  let fill = Array.make count 0 in
+  for j = 0 to n - 1 do
+    let g = cls.(j) in
+    out.(g).(fill.(g)) <- j;
+    fill.(g) <- fill.(g) + 1
+  done;
+  Array.to_list out
+
+let group_by tbl x =
+  partition tbl.store (cols_of tbl x) tbl.view (size tbl)
   |> List.map (fun idxs ->
-         let members = Array.map (fun j -> rows.(j)) idxs in
+         let members =
+           match tbl.view with
+           | All -> idxs
+           | Rows a -> Array.map (fun j -> a.(j)) idxs
+         in
          let witness = tbl.store.tuples.(members.(0)) in
          let key = Tuple.project tbl.schema witness x in
          (key, { tbl with view = Rows members }))
   |> List.sort (fun (k1, _) (k2, _) -> Tuple.compare k1 k2)
 
-(* Distinct projections in one pass: hash the code columns, keep one
-   witness row per new key, never materialize subtables. *)
+(* Distinct projections: one classifying pass, then the first row of
+   each class; no subtable is built. *)
 let project_distinct tbl x =
-  let cols = cols_of tbl x in
-  let rows = visible_rows tbl in
-  let n = Array.length rows in
-  let witnesses = ref [] in
-  let k = Array.length cols in
-  if n > 0 then
-    if k = 0 then witnesses := [ rows.(0) ]
-    else if k = 1 then begin
-      let col = tbl.store.codes.(cols.(0)) in
-      let index = Hashtbl.create (2 * n) in
-      for j = 0 to n - 1 do
-        let c = col.(rows.(j)) in
-        if not (Hashtbl.mem index c) then begin
-          Hashtbl.add index c ();
-          witnesses := rows.(j) :: !witnesses
-        end
-      done
-    end
-    else begin
-      let code_cols = Array.map (fun c -> tbl.store.codes.(c)) cols in
-      let index = Ktbl.create (2 * n) in
-      for j = 0 to n - 1 do
-        let r = rows.(j) in
-        let key = Array.map (fun col -> col.(r)) code_cols in
-        if not (Ktbl.mem index key) then begin
-          Ktbl.add index key ();
-          witnesses := r :: !witnesses
-        end
-      done
-    end;
-  !witnesses
-  |> List.map (fun r -> Tuple.project tbl.schema tbl.store.tuples.(r) x)
+  let _, count, first = classify tbl.store (cols_of tbl x) tbl.view (size tbl) in
+  List.init count (fun g -> Tuple.project tbl.schema tbl.store.tuples.(first.(g)) x)
   |> List.sort Tuple.compare
 
 let is_duplicate_free tbl =
@@ -588,6 +518,11 @@ let remove tbl gone =
   select tbl (fun i _ -> not (Hashtbl.mem set i))
 
 (* ---------- union ---------- *)
+
+let visible_rows tbl =
+  match tbl.view with
+  | Rows a -> a
+  | All -> Array.init tbl.len (fun k -> k)
 
 let union t1 t2 =
   if size t2 = 0 then t1
@@ -845,20 +780,11 @@ let dist_upd u tbl =
 
 (* ---------- domains ---------- *)
 
+(* The distinct codes of column [col], in reverse first-seen order. *)
 let distinct_codes_of_col tbl col =
-  let rows = visible_rows tbl in
+  let _, count, first = classify tbl.store [| col |] tbl.view (size tbl) in
   let codes = tbl.store.codes.(col) in
-  let seen = Hashtbl.create 64 in
-  let out = ref [] in
-  Array.iter
-    (fun r ->
-      let c = codes.(r) in
-      if not (Hashtbl.mem seen c) then begin
-        Hashtbl.add seen c ();
-        out := c :: !out
-      end)
-    rows;
-  !out
+  List.init count (fun g -> codes.(first.(count - 1 - g)))
 
 let active_domain tbl a =
   let col = Schema.index_of tbl.schema a in
@@ -923,89 +849,22 @@ module View = struct
       invalid_arg "Table.View.of_positions: position out of range";
     { tbl with view = Rows (Array.map (row_at tbl) positions) }
 
-  let group_within ?runner tbl positions x =
-    let cols = cols_of tbl x in
+  let group_within tbl positions x =
     let rows = Array.map (row_at tbl) positions in
-    partition_chunked ?runner tbl.store cols rows
+    partition tbl.store (cols_of tbl x) (Rows rows) (Array.length rows)
     |> List.map (fun idxs -> Array.map (fun j -> positions.(j)) idxs)
 
   let groups tbl x =
-    let cols = cols_of tbl x in
-    let rows = visible_rows tbl in
-    partition tbl.store cols rows
+    partition tbl.store (cols_of tbl x) tbl.view (size tbl)
     |> List.map (fun idxs ->
-           let witness = tbl.store.tuples.(rows.(idxs.(0))) in
+           let witness = tuple_at tbl idxs.(0) in
            (Tuple.project tbl.schema witness x, idxs))
     |> List.sort (fun (k1, _) (k2, _) -> Tuple.compare k1 k2)
 
-  (* Open addressing over class numbers: a slot holds the class whose
-     key is (its old class, the codes of its first row), so a probe
-     compares in place and no key is ever built. The table grows with
-     the class count, kept at most half full. *)
   let refine tbl classes x =
     let n = size tbl in
     if Array.length classes <> n then
       invalid_arg "Table.View.refine: one class per visible position";
-    let cols = Array.map (fun c -> tbl.store.codes.(c)) (cols_of tbl x) in
-    let k = Array.length cols in
-    let hash c r =
-      let h = ref c in
-      for i = 0 to k - 1 do
-        h := (!h * 0x100000001b3) lxor cols.(i).(r)
-      done;
-      let h = !h * 0x2545F4914F6CDD1D in
-      h lxor (h lsr 31)
-    in
-    let first_row = ref (Array.make 8 0) and old_class = ref (Array.make 8 0) in
-    let slots = ref (Array.make 16 (-1)) and count = ref 0 in
-    let same g r c =
-      !old_class.(g) = c
-      &&
-      let r' = !first_row.(g) and i = ref 0 in
-      while !i < k && cols.(!i).(r') = cols.(!i).(r) do
-        incr i
-      done;
-      !i = k
-    in
-    let rec free sl s =
-      if sl.(s) < 0 then s else free sl ((s + 1) land (Array.length sl - 1))
-    in
-    let grow () =
-      let cap = 2 * Array.length !first_row in
-      let extend a =
-        let b = Array.make cap 0 in
-        Array.blit a 0 b 0 !count;
-        b
-      in
-      first_row := extend !first_row;
-      old_class := extend !old_class;
-      let sl = Array.make (2 * cap) (-1) in
-      for g = 0 to !count - 1 do
-        sl.(free sl (hash !old_class.(g) !first_row.(g) land ((2 * cap) - 1)))
-        <- g
-      done;
-      slots := sl
-    in
-    let out = Array.make n 0 in
-    for p = 0 to n - 1 do
-      let r = row_at tbl p and c = classes.(p) in
-      let h = hash c r in
-      let sl = !slots in
-      let s = ref (h land (Array.length sl - 1)) in
-      while sl.(!s) >= 0 && not (same sl.(!s) r c) do
-        s := (!s + 1) land (Array.length sl - 1)
-      done;
-      if sl.(!s) >= 0 then out.(p) <- sl.(!s)
-      else begin
-        let g = !count in
-        if g = Array.length !first_row then grow ();
-        let sl = !slots in
-        sl.(free sl (h land (Array.length sl - 1))) <- g;
-        !first_row.(g) <- r;
-        !old_class.(g) <- c;
-        count := g + 1;
-        out.(p) <- g
-      end
-    done;
-    (out, !count)
+    let out, count, _ = classify tbl.store ~classes (cols_of tbl x) tbl.view n in
+    (out, count)
 end

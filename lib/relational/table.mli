@@ -8,9 +8,10 @@
     Internally a table is an id-slice view over an append-only columnar
     store whose values are interned into dense codes (see DESIGN §11):
     [group_by], [select], [restrict] and same-store [union] return
-    O(result-size) views sharing the backing arrays, and grouping is a
-    single hash pass over interned code columns. None of this changes
-    the observable semantics above. *)
+    O(result-size) views sharing the backing arrays, and every grouping
+    ([group_by], [project_distinct], the domains, the [View] partitions)
+    is one sequential hash pass over interned code columns. None of this
+    changes the observable semantics above. *)
 
 type t
 
@@ -108,15 +109,17 @@ val is_unweighted : t -> bool
     Parallel work goes through a {!runner} — an executor for an array
     of independent thunks, returning their results in index order — so
     the algorithms can fan work out to a {!Repair_par.Pool} without this
-    library depending on it. Every entry point that can fan out takes
-    [?runner], defaulting to {!seq_runner}; at width 1 it runs exactly
-    the sequential code. Wider runners give bit-identical results. *)
+    library depending on it. The entry points that fan out
+    ({!fold_budgeted} and its callers, the conflict graph's edge
+    shards) take a runner, defaulting to {!seq_runner}; at width 1 they
+    run exactly the sequential code. Wider runners give bit-identical
+    results. Grouping itself never fans out. *)
 
 (** An executor for independent tasks; [run tasks] returns the results
     in task-index order and re-raises task exceptions deterministically
     (first failing index) — see {!Repair_par.Pool.runner}. [width] is
-    the executor's natural fan-out (a pool's domain count), used as the
-    chunk and shard count. *)
+    the shard count: how many tasks a caller splits its work into (a
+    pool's domain count). *)
 type runner = {
   run : 'a. (unit -> 'a) array -> 'a array;
   width : int;
@@ -156,20 +159,13 @@ val select_eq : t -> Attr_set.t -> Tuple.t -> t
     tuples on [x]. *)
 val project_distinct : t -> Attr_set.t -> Tuple.t list
 
-(** [group_by ?runner ?chunk_sizes tbl x] partitions the table by the
-    projection on [x], returning each distinct key with its subtable.
-    The subtables keep the original identifiers and weights, so they
-    are subsets of [tbl].
-
-    The hash partition splits the rows into [runner.width] contiguous
-    chunks, partitions each chunk as a runner task, and merges the
-    chunks in order, which reconstitutes the one-chunk result exactly.
-    [chunk_sizes] overrides the (deterministic, near-equal) chunk
-    layout; sizes must sum to the visible row count.
-    @raise Invalid_argument on a malformed [chunk_sizes]. *)
-val group_by :
-  ?runner:runner -> ?chunk_sizes:int array -> t -> Attr_set.t ->
-  (Tuple.t * t) list
+(** [group_by tbl x] partitions the table by the projection on [x],
+    returning each distinct key (sorted) with its subtable. The
+    subtables keep the original identifiers and weights, so they are
+    subsets of [tbl]. One hash pass over the interned code columns and
+    one bucketing pass: O(n) for any number of groups, plus the sort of
+    the keys. *)
+val group_by : t -> Attr_set.t -> (Tuple.t * t) list
 
 (** [restrict tbl ids] is the subset of [tbl] with the given identifiers
     (identifiers absent from [tbl] are ignored). *)
@@ -268,13 +264,11 @@ module View : sig
       position is out of range. *)
   val of_positions : t -> int array -> t
 
-  (** [group_within ?runner tbl ps x] partitions the rows at positions
-      [ps] by their projection on [x], returning position arrays: groups
-      in first-seen order, members in input order. A single hash pass
-      over the interned code columns — no keys or subtables are built —
-      chunked over [runner] as in {!Table.group_by}. *)
-  val group_within :
-    ?runner:runner -> t -> int array -> Attr_set.t -> int array list
+  (** [group_within tbl ps x] partitions the rows at positions [ps] by
+      their projection on [x], returning position arrays: groups in
+      first-seen order, members in input order. The hash pass of
+      {!refine}: no keys or subtables are built. *)
+  val group_within : t -> int array -> Attr_set.t -> int array list
 
   (** [groups tbl x] is {!Table.group_by} without the subtables: each
       distinct key (sorted) paired with the visible positions of its

@@ -40,7 +40,7 @@ let build ?(runner = Table.seq_runner) d tbl =
       in
       go (Table.View.group_within tbl group (Fd.rhs fd))
     in
-    let groups = Table.View.group_within ~runner tbl all (Fd.lhs fd) in
+    let groups = Table.View.group_within tbl all (Fd.lhs fd) in
     let n_groups = List.length groups in
     let shards = max 1 (min runner.Table.width n_groups) in
     if shards = 1 then

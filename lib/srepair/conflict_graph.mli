@@ -15,10 +15,10 @@ type t
 (** [build ?runner d tbl] constructs the conflict graph. Edges are
     discovered per FD by grouping on the lhs projection and crossing the
     rhs-distinct subgroups, so construction is output-sensitive rather
-    than always quadratic. A [runner] wider than 1 chunks the grouping
-    pass (see {!Table.group_by}) and shards the edge discovery over
-    contiguous runs of lhs-groups; shards return their edges, which are
-    added in shard order, so the graph — adjacency order and counters
+    than always quadratic. A [runner] wider than 1 shards the edge
+    discovery over contiguous runs of lhs-groups; the grouping itself
+    is one sequential pass. Shards return their edges, which are added
+    in shard order, so the graph — adjacency order and counters
     included — is bit-identical to the one-shard build. *)
 val build : ?runner:Table.runner -> Fd_set.t -> Table.t -> t
 

@@ -284,7 +284,7 @@ let top ~leaf ~combine ~below ?(budget = Budget.unlimited ())
       Metrics.with_span (span_name s) (fun () ->
           let x = Simplify.partition s in
           let plan = compile (Fd_set.minus delta x) in
-          Table.group_by ~runner tbl x
+          Table.group_by tbl x
           |> Table.fold_budgeted runner budget
                (fun b (_, sub) -> (Table.View.tuple sub 0, below b plan sub))
                (fun blocks block -> block :: blocks)

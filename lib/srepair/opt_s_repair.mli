@@ -74,10 +74,9 @@ val combine :
     ["opt-s-repair"] and, below it, the top-level step's
     ({!span_name}): one each per run.
 
-    A [runner] wider than 1 chunks the top-level grouping pass and
-    solves the top-level blocks as independent tasks through
-    {!Table.fold_budgeted}; each block's plan runs sequentially inside
-    its task. Results are bit-identical at any width —
+    A [runner] wider than 1 solves the top-level blocks as independent
+    tasks through {!Table.fold_budgeted}; the top-level grouping pass,
+    and each block's plan inside its task, run sequentially. Results are bit-identical at any width —
     distances, block unions, metrics counters and tick totals — because
     blocks combine in group order and worker metrics merge exactly. A
     limited [budget] keeps every block inline, so exhaustion points are

@@ -4,8 +4,7 @@
    The hard contract under test: a parallel run is bit-identical to the
    sequential one — repair tables, distances, degraded flags, error
    classes, metrics counters, histogram sample counts, and span counts —
-   at every pool width, for every chunk layout, and under any task
-   hand-out order. Timing floats (span durations, histogram bucket
+   at every pool width and under any task hand-out order. Timing floats (span durations, histogram bucket
    indices) are wall-clock-dependent by nature and are excluded from
    every comparison here. *)
 
@@ -94,12 +93,6 @@ let with_fresh_metrics f =
 
 (* ---------- comparison helpers -------------------------------------- *)
 
-let groups_equal a b =
-  List.length a = List.length b
-  && List.for_all2
-       (fun (k1, t1) (k2, t2) -> Tuple.equal k1 k2 && Table.equal t1 t2)
-       a b
-
 let graphs_equal g1 g2 =
   G.n_vertices g1 = G.n_vertices g2
   && G.edges g1 = G.edges g2
@@ -131,16 +124,6 @@ let reports_equal (a : (Driver.report, _) result)
     Repair_runtime.Repair_error.class_name ea
     = Repair_runtime.Repair_error.class_name eb
   | _ -> false
-
-(* A random composition of [n] — the chunk-layout perturbation. *)
-let random_chunk_sizes st n =
-  let rec go remaining acc =
-    if remaining = 0 then Array.of_list (List.rev acc)
-    else
-      let k = 1 + Random.State.int st remaining in
-      go (remaining - k) (k :: acc)
-  in
-  if n = 0 then [||] else go n []
 
 let random_perm st n =
   let a = Array.init n Fun.id in
@@ -316,37 +299,42 @@ let test_budget_absorb () =
   Budget.absorb b ~steps:5;
   Alcotest.(check int) "absorb sums into steps" 7 (Budget.steps b)
 
-(* ---------- differential: grouping ---------------------------------- *)
+(* ---------- differential: the fan-out decision ---------------------- *)
 
-let group_by_par_matches width =
-  Helpers.qcheck ~count:60 ~print:print_instance
-    (Printf.sprintf "group_by_par = group_by at %d domains" width)
-    gen_instance
-    (fun inst ->
-      let _, tbl = build inst in
-      let attrs = Schema.attributes (Table.schema tbl) in
-      let runner = Pool.runner (pool_of width) in
-      List.for_all
-        (fun k ->
-          let x = Attr_set.of_list (List.filteri (fun i _ -> i < k) attrs) in
-          groups_equal (Table.group_by tbl x) (Table.group_by ~runner tbl x))
-        [ 1; 2; 3 ])
+(* [Table.fold_budgeted] against the inline fold it must equal. Each
+   item ticks its budget [x mod 7] times, and the combine conses, so a
+   reordered merge or a lost step shows. *)
+let gen_items = QCheck2.Gen.(list_size (int_range 0 12) (int_range 0 1000))
 
-let group_by_par_chunk_layouts =
-  Helpers.qcheck ~count:60 ~print:print_instance
-    "group_by_par is chunk-layout independent" gen_instance
-    (fun inst ->
-      let _, tbl = build inst in
-      let st = Random.State.make [| inst.seed; 77 |] in
-      let attrs = Schema.attributes (Table.schema tbl) in
-      let x = Attr_set.of_list (List.filteri (fun i _ -> i < 2) attrs) in
-      let expected = Table.group_by tbl x in
-      let runner = Pool.runner (pool_of 4) in
-      List.for_all
-        (fun _ ->
-          let chunk_sizes = random_chunk_sizes st (Table.size tbl) in
-          groups_equal expected (Table.group_by ~runner ~chunk_sizes tbl x))
-        [ 1; 2; 3 ])
+let fold_budgeted_matches width =
+  Helpers.qcheck ~count:60 ~print:QCheck2.Print.(list int)
+    (Printf.sprintf "fold_budgeted at %d domains = the inline fold" width)
+    gen_items
+    (fun xs ->
+      let f b x =
+        for _ = 1 to x mod 7 do
+          Budget.tick b
+        done;
+        (x * 31) + 1
+      in
+      let run runner =
+        let b = Budget.unlimited () in
+        let r = Table.fold_budgeted runner b f (fun acc r -> r :: acc) [] xs in
+        (r, Budget.steps b)
+      in
+      run Table.seq_runner = run (Pool.runner (pool_of width)))
+
+let fold_budgeted_raises_first =
+  Helpers.qcheck ~count:60 ~print:QCheck2.Print.(list int)
+    "fold_budgeted raises the inline fold's exception" gen_items
+    (fun xs ->
+      let f _ x = if x mod 5 = 0 then failwith (string_of_int x) else x in
+      let run runner =
+        match Table.fold_budgeted runner (Budget.unlimited ()) f ( + ) 0 xs with
+        | r -> Ok r
+        | exception Failure m -> Error m
+      in
+      run Table.seq_runner = run (Pool.runner (pool_of 4)))
 
 (* ---------- differential: conflict graph ---------------------------- *)
 
@@ -701,8 +689,8 @@ let () =
           unit "worker trace events get per-task lanes" test_pool_trace_lanes;
           unit "Budget.absorb sums steps" test_budget_absorb ] );
       ( "differential",
-        List.map group_by_par_matches widths
-        @ [ group_by_par_chunk_layouts ]
+        List.map fold_budgeted_matches widths
+        @ [ fold_budgeted_raises_first ]
         @ List.map conflict_graph_par_matches widths
         @ List.map s_repair_par_matches widths
         @ List.map u_repair_par_matches widths
