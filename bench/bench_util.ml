@@ -138,18 +138,20 @@ let git_describe () =
     if line = "" then "unknown" else line
   with _ -> "unknown"
 
+(* The header names the host as well as the commit: [cores] and the
+   OCaml version, since timings from different machines do not compare. *)
 let write_bench ~file () =
   let doc =
     Json.Obj
       [ ("schema_version", Json.Int 1);
         ("git", Json.String (git_describe ()));
+        ("cores", Json.Int (Domain.recommended_domain_count ()));
+        ("ocaml", Json.String Sys.ocaml_version);
         ("recorded_at_unix", Json.Float (Unix.gettimeofday ()));
         ("records", Json.List (List.rev !records)) ]
   in
-  let oc = open_out file in
-  output_string oc (Json.to_string ~pretty:true doc);
-  output_char oc '\n';
-  close_out oc;
+  Repair_core.Repair.Runtime.Io_fault.write_file_atomic file
+    (Json.to_string ~pretty:true doc ^ "\n");
   Fmt.pr "@.%d benchmark records → %s@." (List.length !records) file
 
 (* Run a list of (label, thunk) under Bechamel; returns (label, ns/run). *)

@@ -15,6 +15,7 @@
               [--threshold PCT] [--min-ms MS] [--subset]  *)
 
 module Json = Repair_core.Repair.Obs.Json
+module Runtime = Repair_core.Repair.Runtime
 
 let usage =
   "usage: compare OLD.json NEW.json [--threshold PCT] [--min-ms MS] [--subset]"
@@ -24,13 +25,9 @@ let die_usage msg =
   exit 2
 
 let read_file path =
-  try
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  with Sys_error msg -> die_usage msg
+  try Runtime.Io_fault.read_file path
+  with Runtime.Repair_error.Error (Io { file; detail }) ->
+    die_usage (Fmt.str "%s: %s" file detail)
 
 let records_of path =
   match Json.of_string (read_file path) with
