@@ -20,7 +20,7 @@ type exec =
 type conn = {
   fd : Unix.file_descr;
   cid : int;
-  mutable inbuf : string;  (** partial line carried between reads *)
+  reader : Line_reader.t;  (** requests read but not yet handled *)
   out_q : string Queue.t;
   mutable out_off : int;  (** bytes of the queue head already written *)
   mutable out_bytes : int;
@@ -28,7 +28,7 @@ type conn = {
   mutable skipping : bool;  (** discarding the rest of an oversized line *)
   mutable last_read : float;
       (** last moment read progress was made; deadline base while a
-          partial line is buffered *)
+          partial line is buffered or skipped *)
   mutable last_write : float;
       (** last moment write progress was made; deadline base while
           replies are pending *)
@@ -53,39 +53,6 @@ let write_snapshot engine metrics_out =
   | None ->
     prerr_string text;
     flush stderr
-
-(* Extract complete lines out of [conn.inbuf ^ chunk], respecting the
-   oversized-line discard mode, and leave any partial tail buffered.
-   [on_line] sees each complete line (newline stripped); [on_oversized]
-   is called once per over-limit line, complete or still partial. *)
-let feed ~max_bytes conn chunk ~on_line ~on_oversized =
-  let data = if conn.inbuf = "" then chunk else conn.inbuf ^ chunk in
-  conn.inbuf <- "";
-  let n = String.length data in
-  let start = ref 0 in
-  for i = 0 to n - 1 do
-    if data.[i] = '\n' then begin
-      if conn.skipping then conn.skipping <- false
-      else begin
-        let len = i - !start in
-        let len = if len > 0 && data.[i - 1] = '\r' then len - 1 else len in
-        let line = String.sub data !start len in
-        if String.length line > max_bytes then on_oversized ()
-        else on_line line
-      end;
-      start := i + 1
-    end
-  done;
-  if not conn.skipping then begin
-    let rest = String.sub data !start (n - !start) in
-    if String.length rest > max_bytes then begin
-      (* The line is already over budget with no newline in sight: answer
-         now and discard until the terminator shows up. *)
-      on_oversized ();
-      conn.skipping <- true
-    end
-    else conn.inbuf <- rest
-  end
 
 let run ?(config = Engine.default_config) ?on_invalidate
     ?(on_close = fun _ -> ()) ?gauges ?metrics_out ?slow_log ?trace_out ?pool
@@ -171,7 +138,6 @@ let run ?(config = Engine.default_config) ?on_invalidate
   let next_cid = ref 0 in
   let listening = ref true in
   let drain_budget = ref None in
-  let read_buf = Bytes.create 65536 in
   (* Requests admitted and not yet settled, per connection: [on_close]
      waits for a closed connection's last one, so that no request runs
      for a cookie after its hook. *)
@@ -257,7 +223,7 @@ let run ?(config = Engine.default_config) ?on_invalidate
           else consider (c.last_write +. d)
         | _ -> ());
         match config.Engine.read_deadline_s with
-        | Some d when c.inbuf <> "" || c.skipping ->
+        | Some d when Line_reader.pending c.reader > 0 || c.skipping ->
           if now -. c.last_read > d then victims := (c, `Read) :: !victims
           else consider (c.last_read +. d)
         | _ -> ())
@@ -339,16 +305,40 @@ let run ?(config = Engine.default_config) ?on_invalidate
       enqueue_out c reply;
       drain_requested := true
   in
+  (* Framing rules on top of the reader: a CR before the newline is
+     stripped; a line over [max_request_bytes] gets one [oversized]
+     reply, and so does an unfinished line already over it, whose bytes
+     are then dropped through its newline ([skipping]). *)
+  let max_bytes = config.Engine.max_request_bytes in
+  let oversized c = enqueue_out c (Engine.reject_oversized engine) in
+  let rec handle_lines c =
+    match Line_reader.next_line c.reader with
+    | Some _ when c.skipping ->
+      c.skipping <- false;
+      handle_lines c
+    | Some line ->
+      let len = String.length line in
+      let line =
+        if len > 0 && line.[len - 1] = '\r' then String.sub line 0 (len - 1)
+        else line
+      in
+      if String.length line > max_bytes then oversized c
+      else handle_line_for c line;
+      handle_lines c
+    | None ->
+      if c.skipping then Line_reader.discard c.reader
+      else if Line_reader.pending c.reader > max_bytes then begin
+        oversized c;
+        c.skipping <- true;
+        Line_reader.discard c.reader
+      end
+  in
   let handle_readable c =
-    match Unix.read c.fd read_buf 0 (Bytes.length read_buf) with
+    match Line_reader.fill c.reader with
     | 0 -> close_conn c
-    | n ->
+    | _ ->
       c.last_read <- Unix.gettimeofday ();
-      feed ~max_bytes:config.Engine.max_request_bytes c
-        (Bytes.sub_string read_buf 0 n)
-        ~on_line:(fun line -> handle_line_for c line)
-        ~on_oversized:(fun () ->
-          enqueue_out c (Engine.reject_oversized engine))
+      handle_lines c
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
     | exception Unix.Unix_error ((ECONNRESET | EPIPE | EBADF), _, _) ->
       close_conn c
@@ -365,7 +355,7 @@ let run ?(config = Engine.default_config) ?on_invalidate
           {
             fd;
             cid = !next_cid;
-            inbuf = "";
+            reader = Line_reader.of_fd fd;
             out_q = Queue.create ();
             out_off = 0;
             out_bytes = 0;

@@ -1,3 +1,4 @@
+module Line_reader = Repair_serve.Line_reader
 module Protocol = Repair_serve.Protocol
 module Json = Repair_obs.Json
 module Histogram = Repair_obs.Histogram
@@ -159,7 +160,7 @@ let connect listen =
       failwith
         (Printf.sprintf "load_gen: cannot connect: %s" (Unix.error_message e))
   in
-  Unix.set_nonblock (Wire.fd wire);
+  Unix.set_nonblock (Line_reader.fd wire);
   { wire; outbox = []; out_off = 0; alive = true }
 
 let classify_reply reply =
@@ -346,7 +347,7 @@ let run spec listen =
     | line :: rest -> (
       let len = String.length line.text in
       match
-        Unix.write_substring (Wire.fd c.wire) line.text c.out_off
+        Unix.write_substring (Line_reader.fd c.wire) line.text c.out_off
           (len - c.out_off)
       with
       | 0 -> ()
@@ -366,14 +367,14 @@ let run spec listen =
       | exception Unix.Unix_error _ -> kill c)
   in
   let rec drain c =
-    match Wire.next_line c.wire with
+    match Line_reader.next_line c.wire with
     | Some line ->
       handle_reply line;
       drain c
     | None -> ()
   in
   let pump_in c =
-    match Wire.fill c.wire with
+    match Line_reader.fill c.wire with
     | 0 -> kill c
     | _ -> drain c
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
@@ -396,12 +397,12 @@ let run spec listen =
       let readers =
         Array.to_list conns
         |> List.filter (fun c -> c.alive)
-        |> List.map (fun c -> Wire.fd c.wire)
+        |> List.map (fun c -> Line_reader.fd c.wire)
       in
       let writers =
         Array.to_list conns
         |> List.filter (fun c -> c.alive && c.outbox <> [])
-        |> List.map (fun c -> Wire.fd c.wire)
+        |> List.map (fun c -> Line_reader.fd c.wire)
       in
       let timeout = min 0.2 (deadline -. now) in
       let timeout =
@@ -413,7 +414,7 @@ let run spec listen =
       match Unix.select readers writers [] timeout with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
       | rs, ws, _ ->
-        let ready fds c = c.alive && List.mem (Wire.fd c.wire) fds in
+        let ready fds c = c.alive && List.mem (Line_reader.fd c.wire) fds in
         Array.iter (fun c -> if ready ws c then pump_out c) conns;
         Array.iter (fun c -> if ready rs c then pump_in c) conns;
         loop ()

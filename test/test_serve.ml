@@ -891,6 +891,7 @@ let test_load_gen_retry_accounting () =
 (* ---------- the client framing (Wire) ---------- *)
 
 module Wire = Repair_workload.Wire
+module Line_reader = Repair_serve.Line_reader
 module Io_fault = Repair_runtime.Io_fault
 
 let with_socketpair f =
@@ -903,7 +904,7 @@ let write_string fd s = ignore (Unix.write_substring fd s 0 (String.length s))
 let test_wire_one_write_two_lines () =
   with_socketpair @@ fun a b ->
   write_string a "{\"id\": 1}\n{\"id\": 2}\n";
-  let w = Wire.of_fd b in
+  let w = Line_reader.of_fd b in
   let first = Wire.read_line w in
   let second = Wire.read_line w in
   Alcotest.(check (list (option string)))
@@ -926,7 +927,7 @@ let test_wire_long_line_in_pieces () =
         in
         go 0)
   in
-  let w = Wire.of_fd b in
+  let w = Line_reader.of_fd b in
   let first = Wire.read_line w in
   let second = Wire.read_line w in
   Domain.join writer;
@@ -937,7 +938,7 @@ let test_wire_eof_mid_line () =
   with_socketpair @@ fun a b ->
   write_string a "{\"id\": 1}\n{\"partial\":";
   Unix.shutdown a Unix.SHUTDOWN_SEND;
-  let w = Wire.of_fd b in
+  let w = Line_reader.of_fd b in
   Alcotest.(check (option string)) "complete line" (Some "{\"id\": 1}")
     (Wire.read_line w);
   Alcotest.(check (option string)) "no partial line" None (Wire.read_line w)
@@ -960,9 +961,9 @@ let test_top_fetch_closed_mid_reply () =
   Unix.listen lfd 1;
   let server =
     Domain.spawn (fun () ->
-        let w = Wire.of_fd (fst (Unix.accept lfd)) in
+        let w = Line_reader.of_fd (fst (Unix.accept lfd)) in
         let request = Wire.read_line w in
-        write_string (Wire.fd w) "{\"ok\": tr";
+        write_string (Line_reader.fd w) "{\"ok\": tr";
         Wire.close w;
         request)
   in
@@ -980,11 +981,89 @@ let test_wire_send_short_writes () =
   let body = String.init 10_000 (fun i -> Char.chr (48 + (i mod 10))) in
   let short at = { Io_fault.op = Io_fault.Write; at; kind = Io_fault.Short_write } in
   Io_fault.with_plan [ short 1; short 2; short 3 ] (fun () ->
-      Wire.send (Wire.of_fd a) (body ^ "\n");
+      Wire.send (Line_reader.of_fd a) (body ^ "\n");
       Alcotest.(check int) "three short writes" 3
         (List.length (Io_fault.fired ())));
   Alcotest.(check bool) "every byte, in order" true
-    (Wire.read_line (Wire.of_fd b) = Some body)
+    (Wire.read_line (Line_reader.of_fd b) = Some body)
+
+(* The daemon's own framing, over a real socket, with a 4 KB request
+   limit: an over-limit line arriving in pieces gets one [oversized]
+   reply and the connection keeps working; a CRLF line is a line, whose
+   CR the limit does not count; and a request written a byte at a time
+   is answered once. *)
+let test_daemon_framing () =
+  let path = socket_path () ^ ".framing" in
+  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  match Unix.fork () with
+  | 0 ->
+    let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+    Unix.dup2 devnull Unix.stderr;
+    let code =
+      try
+        R.Serve.run
+          ~config:{ Engine.default_config with max_request_bytes = 4096 }
+          (Server.Unix_sock path)
+      with _ -> 99
+    in
+    Unix._exit code
+  | pid ->
+    let cleanup () =
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      try Unix.unlink path with Unix.Unix_error _ -> ()
+    in
+    Fun.protect ~finally:cleanup @@ fun () ->
+    let deadline = Unix.gettimeofday () +. 10.0 in
+    while (not (Sys.file_exists path)) && Unix.gettimeofday () < deadline do
+      ignore (Unix.select [] [] [] 0.02)
+    done;
+    let w = Wire.connect (Server.Unix_sock path) in
+    Fun.protect ~finally:(fun () -> Wire.close w) @@ fun () ->
+    let fd = Line_reader.fd w in
+    (* A lost reply fails the read instead of hanging the suite. *)
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+    let write_in pieces text =
+      let rec go off =
+        if off < String.length text then begin
+          let n = min pieces (String.length text - off) in
+          write_string fd (String.sub text off n);
+          go (off + n)
+        end
+      in
+      go 0
+    in
+    let reply () =
+      match Wire.read_line w with
+      | Some line -> line
+      | None -> Alcotest.fail "connection closed before the reply"
+    in
+    let ping id = Printf.sprintf {|{"id": %d, "op": "ping"}|} id in
+    let is_pong id line =
+      reply_ok line && Json.member "id" (reply_json line) = Some (Json.Int id)
+    in
+    write_in 1024 (String.make 4097 'x' ^ "\n");
+    Wire.send w (ping 1 ^ "\n");
+    let first = reply () in
+    Alcotest.(check string) "one oversized reply" Protocol.err_oversized
+      (reply_class first);
+    Alcotest.(check bool) "then the ping is answered" true (is_pong 1 (reply ()));
+    Wire.send w (ping 2 ^ "\r\n");
+    Alcotest.(check bool) "a CRLF ping is answered" true (is_pong 2 (reply ()));
+    (* The CR is not counted: 4096 bytes before the CRLF are in limit. *)
+    let padded = ping 5 ^ String.make (4096 - String.length (ping 5)) ' ' in
+    Wire.send w (padded ^ "\r\n");
+    Alcotest.(check bool) "a 4096-byte CRLF ping is answered" true
+      (is_pong 5 (reply ()));
+    write_in 1 (ping 3 ^ "\n");
+    Alcotest.(check bool) "a ping a byte at a time is answered" true
+      (is_pong 3 (reply ()));
+    Wire.send w (ping 4 ^ "\n");
+    Alcotest.(check bool) "and answered once" true (is_pong 4 (reply ()));
+    Unix.kill pid Sys.sigterm;
+    match snd (Unix.waitpid [] pid) with
+    | Unix.WEXITED 0 -> ()
+    | Unix.WEXITED c -> Alcotest.failf "daemon exited %d" c
+    | _ -> Alcotest.fail "daemon killed by signal"
 
 let () =
   Alcotest.run "serve"
@@ -1024,7 +1103,9 @@ let () =
           Alcotest.test_case "4-domain server keeps the books balanced"
             `Quick test_end_to_end_parallel_accounting;
           Alcotest.test_case "retry accounting counts each reply once"
-            `Quick test_load_gen_retry_accounting ] );
+            `Quick test_load_gen_retry_accounting;
+          Alcotest.test_case "daemon framing: oversized, CRLF, byte writes"
+            `Quick test_daemon_framing ] );
       ( "wire",
         [ Alcotest.test_case "one write, two lines" `Quick
             test_wire_one_write_two_lines;
