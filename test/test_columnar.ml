@@ -213,6 +213,148 @@ let prop_union_all_cross_store =
         (Table.union_all small_schema ops)
         (List.fold_left Table.union (Table.empty small_schema) ops))
 
+(* ---------- the classifier's consumers vs the model ---------- *)
+
+(* Every grouping reads the one classifier over the code columns, so
+   each consumer is checked on three layouts of a generated table: the
+   table itself, a [select] sub-view of it, and a cross-store [union]
+   whose second operand's values were re-interned into the first's
+   pool. A model's positions are its bindings in id order. *)
+let layouts (t1, t2) =
+  let shift = Table.size t1 + 1 in
+  let t2 =
+    Table.of_list small_schema
+      (Table.fold (fun i t w acc -> (i + shift, w, t) :: acc) t2 [])
+  in
+  [ t1; Table.select t1 (fun i _ -> i mod 3 <> 1); Table.union t1 t2 ]
+
+let gen_layouts =
+  QCheck2.Gen.(
+    triple
+      (gen_table ~dom:3 ~max_size:12 ~weighted:true small_schema)
+      (gen_table ~dom:4 ~max_size:8 ~weighted:true small_schema)
+      (pair (gen_attrs small_schema) (int_range 0 1_000_000)))
+
+let on_layouts prop (t1, t2, (x, seed)) =
+  List.for_all
+    (fun tbl -> prop tbl (model_of_table tbl) x (Random.State.make [| seed |]))
+    (layouts (t1, t2))
+
+let model_tuples m = Array.of_list (List.map (fun (_, (t, _)) -> t) (Imap.bindings m.m_rows))
+
+(* Keys numbered by first occurrence along [keys]. *)
+let number_by_first_seen compare keys =
+  let module M = Map.Make (struct
+    type t = int * Tuple.t
+
+    let compare = compare
+  end) in
+  let seen = ref M.empty and count = ref 0 in
+  let out =
+    List.map
+      (fun key ->
+        match M.find_opt key !seen with
+        | Some g -> g
+        | None ->
+          let g = !count in
+          incr count;
+          seen := M.add key g !seen;
+          g)
+      keys
+  in
+  (out, !count)
+
+let compare_class_key (c1, k1) (c2, k2) =
+  match Int.compare c1 c2 with 0 -> Tuple.compare k1 k2 | c -> c
+
+(* Positions [ps] grouped by key: groups in first-seen order, members in
+   input order. *)
+let model_group_within m ps x =
+  let ts = model_tuples m in
+  let keys = List.map (fun p -> (0, Tuple.project m.m_schema ts.(p) x)) ps in
+  let classes, count = number_by_first_seen compare_class_key keys in
+  List.init count (fun g ->
+      List.combine classes ps
+      |> List.filter_map (fun (c, p) -> if c = g then Some p else None)
+      |> Array.of_list)
+
+let model_groups m x =
+  let ts = model_tuples m in
+  Array.to_list ts
+  |> List.mapi (fun p t -> (Tuple.project m.m_schema t x, p))
+  |> List.fold_left
+       (fun acc (key, p) ->
+         Tmap.update key
+           (fun ps -> Some (p :: Option.value ~default:[] ps))
+           acc)
+       Tmap.empty
+  |> Tmap.bindings
+  |> List.map (fun (key, ps) -> (key, Array.of_list (List.rev ps)))
+
+let prop_view_groups_model =
+  qcheck ~count:300 "View.groups agrees with the model" gen_layouts
+    (on_layouts (fun tbl m x _ ->
+         let got = Table.View.groups tbl x and want = model_groups m x in
+         List.length got = List.length want
+         && List.for_all2
+              (fun (k1, ps1) (k2, ps2) -> Tuple.equal k1 k2 && ps1 = ps2)
+              got want))
+
+let prop_view_group_within_model =
+  qcheck ~count:300 "View.group_within on a position subset agrees with the model"
+    gen_layouts
+    (on_layouts (fun tbl m x st ->
+         let ps =
+           List.init (Table.size tbl) Fun.id
+           |> List.filter (fun _ -> Random.State.bool st)
+           |> List.map (fun p -> (Random.State.bits st, p))
+           |> List.sort compare |> List.map snd
+         in
+         Table.View.group_within tbl (Array.of_list ps) x
+         = model_group_within m ps x))
+
+(* The model's new class is the pair (old class, key), numbered by first
+   position. *)
+let prop_view_refine_model =
+  qcheck ~count:300 "View.refine agrees with the model" gen_layouts
+    (on_layouts (fun tbl m x st ->
+         let classes = Array.init (Table.size tbl) (fun _ -> Random.State.int st 3) in
+         let ts = model_tuples m in
+         let keys =
+           List.init (Array.length ts) (fun p ->
+               (classes.(p), Tuple.project m.m_schema ts.(p) x))
+         in
+         let want, count = number_by_first_seen compare_class_key keys in
+         Table.View.refine tbl classes x = (Array.of_list want, count)))
+
+let model_values m cols =
+  Imap.fold
+    (fun _ (t, _) acc -> List.map (Tuple.get t) cols @ acc)
+    m.m_rows []
+  |> List.sort_uniq Value.compare
+
+let prop_domains_model =
+  qcheck ~count:300 "active_domain and all_values agree with the model"
+    gen_layouts
+    (on_layouts (fun tbl m _ _ ->
+         let schema = m.m_schema in
+         List.equal Value.equal (Table.all_values tbl)
+           (model_values m (List.init (Schema.arity schema) Fun.id))
+         && List.for_all
+              (fun a ->
+                List.equal Value.equal (Table.active_domain tbl a)
+                  (model_values m [ Schema.index_of schema a ]))
+              (Schema.attributes schema)))
+
+let prop_duplicate_free_model =
+  qcheck ~count:300 "is_duplicate_free agrees with the model" gen_layouts
+    (on_layouts (fun tbl m _ _ ->
+         let distinct =
+           Imap.fold (fun _ (t, _) acc -> Tmap.add t () acc) m.m_rows Tmap.empty
+         in
+         Table.is_duplicate_free tbl
+         = (Tmap.cardinal distinct = Imap.cardinal m.m_rows)))
+
 (* ---------- construction-path equivalence ---------- *)
 
 (* Random (id, weight, tuple) rows with distinct ids in shuffled order:
@@ -363,6 +505,12 @@ let () =
           prop_map_tuples_model;
           Alcotest.test_case "union duplicate id" `Quick
             test_union_duplicate_id ] );
+      ( "classifier consumers",
+        [ prop_view_groups_model;
+          prop_view_group_within_model;
+          prop_view_refine_model;
+          prop_domains_model;
+          prop_duplicate_free_model ] );
       ( "construction paths",
         [ prop_builder_vs_fold_add; prop_views_are_persistent ] );
       ( "repair bit-identity",
