@@ -989,7 +989,8 @@ let test_wire_send_short_writes () =
 
 (* The daemon's own framing, over a real socket, with a 4 KB request
    limit: an over-limit line arriving in pieces gets one [oversized]
-   reply and the connection keeps working; a CRLF line is a line, whose
+   reply, at once if it is still unfinished, and the connection keeps
+   working; a CRLF line is a line, whose
    CR the limit does not count; and a request written a byte at a time
    is answered once. *)
 let test_daemon_framing () =
@@ -1047,6 +1048,15 @@ let test_daemon_framing () =
     Alcotest.(check string) "one oversized reply" Protocol.err_oversized
       (reply_class first);
     Alcotest.(check bool) "then the ping is answered" true (is_pong 1 (reply ()));
+    (* An unfinished line already over the limit is answered at once,
+       and its bytes are dropped through the newline. *)
+    write_in 1024 (String.make 5000 'x');
+    Alcotest.(check string) "an unfinished over-limit line is answered"
+      Protocol.err_oversized (reply_class (reply ()));
+    write_in 1024 (String.make 3000 'x' ^ "\n");
+    Wire.send w (ping 6 ^ "\n");
+    Alcotest.(check bool) "its tail is dropped through the newline" true
+      (is_pong 6 (reply ()));
     Wire.send w (ping 2 ^ "\r\n");
     Alcotest.(check bool) "a CRLF ping is answered" true (is_pong 2 (reply ()));
     (* The CR is not counted: 4096 bytes before the CRLF are in limit. *)
