@@ -15,9 +15,10 @@ end)
 (* Pools are shared across every store derived from one table, and under
    a domain pool those stores can be decoded from worker domains while
    the owner keeps appending. A single mutex over the append/decode paths
-   makes the pool domain-safe; the parallel hot loops (partition,
-   same-store union) work purely on code arrays and never take it, so
-   the lock is uncontended in practice. *)
+   makes the pool domain-safe; the loops that run on worker domains (a
+   top-level block's plan refinement, the conflict graph's edge shards)
+   work purely on code arrays and never take it, so the lock is
+   uncontended in practice. *)
 type t = {
   codes : int H.t;
   mutable values : Value.t array;
