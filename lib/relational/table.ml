@@ -481,8 +481,11 @@ let group_by tbl x =
 (* Distinct projections: one classifying pass, then the first row of
    each class; no subtable is built. *)
 let project_distinct tbl x =
-  let _, count, first = classify tbl.store (cols_of tbl x) tbl.view (size tbl) in
-  List.init count (fun g -> Tuple.project tbl.schema tbl.store.tuples.(first.(g)) x)
+  let _, count, first =
+    classify tbl.store (cols_of tbl x) tbl.view (size tbl)
+  in
+  List.init count (fun g ->
+      Tuple.project tbl.schema tbl.store.tuples.(first.(g)) x)
   |> List.sort Tuple.compare
 
 let is_duplicate_free tbl =
@@ -780,11 +783,10 @@ let dist_upd u tbl =
 
 (* ---------- domains ---------- *)
 
-(* The distinct codes of column [col], in reverse first-seen order. *)
 let distinct_codes_of_col tbl col =
   let _, count, first = classify tbl.store [| col |] tbl.view (size tbl) in
   let codes = tbl.store.codes.(col) in
-  List.init count (fun g -> codes.(first.(count - 1 - g)))
+  List.init count (fun g -> codes.(first.(g)))
 
 let active_domain tbl a =
   let col = Schema.index_of tbl.schema a in
@@ -865,6 +867,8 @@ module View = struct
     let n = size tbl in
     if Array.length classes <> n then
       invalid_arg "Table.View.refine: one class per visible position";
-    let out, count, _ = classify tbl.store ~classes (cols_of tbl x) tbl.view n in
+    let out, count, _ =
+      classify tbl.store ~classes (cols_of tbl x) tbl.view n
+    in
     (out, count)
 end

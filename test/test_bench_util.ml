@@ -37,7 +37,8 @@ let test_record_roundtrip () =
       (Option.bind (Json.member "schema_version" doc) Json.int_value);
     Alcotest.(check bool) "git-describe present" true
       (Option.bind (Json.member "git" doc) Json.string_value <> None);
-    Alcotest.(check (option int)) "cores" (Some (Domain.recommended_domain_count ()))
+    Alcotest.(check (option int)) "cores"
+      (Some (Domain.recommended_domain_count ()))
       (Option.bind (Json.member "cores" doc) Json.int_value);
     Alcotest.(check (option string)) "ocaml" (Some Sys.ocaml_version)
       (Option.bind (Json.member "ocaml" doc) Json.string_value);

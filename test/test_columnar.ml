@@ -240,7 +240,8 @@ let on_layouts prop (t1, t2, (x, seed)) =
     (fun tbl -> prop tbl (model_of_table tbl) x (Random.State.make [| seed |]))
     (layouts (t1, t2))
 
-let model_tuples m = Array.of_list (List.map (fun (_, (t, _)) -> t) (Imap.bindings m.m_rows))
+let model_tuples m =
+  Array.of_list (List.map (fun (_, (t, _)) -> t) (Imap.bindings m.m_rows))
 
 (* Keys numbered by first occurrence along [keys]. *)
 let number_by_first_seen compare keys =
@@ -301,8 +302,8 @@ let prop_view_groups_model =
               got want))
 
 let prop_view_group_within_model =
-  qcheck ~count:300 "View.group_within on a position subset agrees with the model"
-    gen_layouts
+  qcheck ~count:300
+    "View.group_within on a position subset agrees with the model" gen_layouts
     (on_layouts (fun tbl m x st ->
          let ps =
            List.init (Table.size tbl) Fun.id
@@ -318,7 +319,9 @@ let prop_view_group_within_model =
 let prop_view_refine_model =
   qcheck ~count:300 "View.refine agrees with the model" gen_layouts
     (on_layouts (fun tbl m x st ->
-         let classes = Array.init (Table.size tbl) (fun _ -> Random.State.int st 3) in
+         let classes =
+           Array.init (Table.size tbl) (fun _ -> Random.State.int st 3)
+         in
          let ts = model_tuples m in
          let keys =
            List.init (Array.length ts) (fun p ->

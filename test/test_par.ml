@@ -4,9 +4,9 @@
    The hard contract under test: a parallel run is bit-identical to the
    sequential one — repair tables, distances, degraded flags, error
    classes, metrics counters, histogram sample counts, and span counts —
-   at every pool width and under any task hand-out order. Timing floats (span durations, histogram bucket
-   indices) are wall-clock-dependent by nature and are excluded from
-   every comparison here. *)
+   at every pool width and under any task hand-out order. Timing floats
+   (span durations, histogram bucket indices) are wall-clock-dependent
+   by nature and are excluded from every comparison here. *)
 
 open Repair_relational
 open Repair_fd

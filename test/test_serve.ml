@@ -1047,7 +1047,8 @@ let test_daemon_framing () =
     let first = reply () in
     Alcotest.(check string) "one oversized reply" Protocol.err_oversized
       (reply_class first);
-    Alcotest.(check bool) "then the ping is answered" true (is_pong 1 (reply ()));
+    Alcotest.(check bool) "then the ping is answered" true
+      (is_pong 1 (reply ()));
     (* An unfinished line already over the limit is answered at once,
        and its bytes are dropped through the newline. *)
     write_in 1024 (String.make 5000 'x');
