@@ -243,37 +243,36 @@ let on_layouts prop (t1, t2, (x, seed)) =
 let model_tuples m =
   Array.of_list (List.map (fun (_, (t, _)) -> t) (Imap.bindings m.m_rows))
 
-(* Keys numbered by first occurrence along [keys]. *)
-let number_by_first_seen compare keys =
-  let module M = Map.Make (struct
-    type t = int * Tuple.t
+module Class_map = Map.Make (struct
+  type t = int * Tuple.t
 
-    let compare = compare
-  end) in
-  let seen = ref M.empty and count = ref 0 in
+  let compare (c1, k1) (c2, k2) =
+    match Int.compare c1 c2 with 0 -> Tuple.compare k1 k2 | c -> c
+end)
+
+(* (class, key) pairs numbered by first occurrence along [keys]. *)
+let number_by_first_seen keys =
+  let seen = ref Class_map.empty and count = ref 0 in
   let out =
     List.map
       (fun key ->
-        match M.find_opt key !seen with
+        match Class_map.find_opt key !seen with
         | Some g -> g
         | None ->
           let g = !count in
           incr count;
-          seen := M.add key g !seen;
+          seen := Class_map.add key g !seen;
           g)
       keys
   in
   (out, !count)
-
-let compare_class_key (c1, k1) (c2, k2) =
-  match Int.compare c1 c2 with 0 -> Tuple.compare k1 k2 | c -> c
 
 (* Positions [ps] grouped by key: groups in first-seen order, members in
    input order. *)
 let model_group_within m ps x =
   let ts = model_tuples m in
   let keys = List.map (fun p -> (0, Tuple.project m.m_schema ts.(p) x)) ps in
-  let classes, count = number_by_first_seen compare_class_key keys in
+  let classes, count = number_by_first_seen keys in
   List.init count (fun g ->
       List.combine classes ps
       |> List.filter_map (fun (c, p) -> if c = g then Some p else None)
@@ -327,7 +326,7 @@ let prop_view_refine_model =
            List.init (Array.length ts) (fun p ->
                (classes.(p), Tuple.project m.m_schema ts.(p) x))
          in
-         let want, count = number_by_first_seen compare_class_key keys in
+         let want, count = number_by_first_seen keys in
          Table.View.refine tbl classes x = (Array.of_list want, count)))
 
 let model_values m cols =
