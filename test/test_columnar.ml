@@ -507,7 +507,7 @@ let () =
           prop_map_tuples_model;
           Alcotest.test_case "union duplicate id" `Quick
             test_union_duplicate_id ] );
-      ( "classifier consumers",
+      ( "classifier users",
         [ prop_view_groups_model;
           prop_view_group_within_model;
           prop_view_refine_model;
