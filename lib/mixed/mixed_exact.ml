@@ -14,7 +14,7 @@ let optimal ?(delete_factor = 1.0) ?(fresh = 2) ?(max_cells = 21) d tbl =
   if n * arity > max_cells then
     invalid_arg "Mixed_exact.optimal: table too large for exhaustive search";
   let d = Fd_set.remove_trivial d in
-  let supply = Value.Supply.starting_above (Table.all_values tbl) in
+  let supply = Table.fresh_supply tbl in
   let fresh_pool = List.init fresh (fun _ -> Value.Supply.next supply) in
   let candidates =
     Array.init arity (fun j ->

@@ -637,31 +637,35 @@ let union_all schema tables =
 
 (* ---------- updates (materializing) ---------- *)
 
-let map_tuples tbl f =
+(* The one mapping loop: [f k t] is the new tuple of visible position
+   [k], whose tuple is [t]. A mapped store starts a fresh prefix but
+   keeps the shared pool. A cell that is physically the source cell's
+   value keeps the source's code, which interning it again would
+   return, without the pool's lock; only the changed cells are
+   interned. *)
+let map_at tbl f =
   let n = size tbl in
   let src = tbl.store in
-  (* A mapped store starts a fresh prefix but keeps the shared pool. A
-     cell that is physically the source cell's value keeps the source's
-     code, which interning it again would return, without the pool's
-     lock; only the changed cells are interned. *)
   let store = { (new_store tbl.schema ~cap:(max n 1)) with pool = src.pool } in
+  let arity = Array.length src.codes in
   for k = 0 to n - 1 do
     let r = row_at tbl k in
     let t = src.tuples.(r) in
-    let t' = f src.ids.(r) t in
+    let t' = f k t in
     store.ids.(k) <- src.ids.(r);
     store.weights.(k) <- src.weights.(r);
     store.tuples.(k) <- t';
-    Array.iteri
-      (fun c col ->
-        let v = Tuple.get t' c in
-        col.(k) <-
-          (if v == Tuple.get t c then src.codes.(c).(r)
-           else Interner.intern store.pool v))
-      store.codes;
+    for c = 0 to arity - 1 do
+      let v = Tuple.get t' c in
+      store.codes.(c).(k) <-
+        (if v == Tuple.get t c then src.codes.(c).(r)
+         else Interner.intern store.pool v)
+    done;
     store.len <- k + 1
   done;
   { tbl with store; len = n; view = All }
+
+let map_tuples tbl f = map_at tbl (fun k t -> f (id_at tbl k) t)
 
 let set_tuple tbl i tp =
   let k = pos_exn tbl i in
@@ -770,15 +774,27 @@ let dist_sub s tbl =
 
 let dist_upd u tbl =
   if not (is_update_of u tbl) then invalid_arg "Table.dist_upd: not an update";
+  (* Accumulate in [tbl]'s id order, as [dist_sub] does. An update has
+     [tbl]'s ids, so position [k] is the same tuple in both; with one
+     pool, equal codes are equal values, so a cell is compared by its
+     code, otherwise by its value. *)
   let acc = ref 0.0 in
-  merge_iter u tbl
-    ~on_left:(fun _ -> ())
-    ~on_both:(fun k1 k2 ->
-      acc :=
-        !acc
-        +. weight_at tbl k2
-           *. float_of_int (Tuple.hamming (tuple_at tbl k2) (tuple_at u k1)))
-    ~on_right:(fun _ -> ());
+  let add k d = acc := !acc +. (weight_at tbl k *. float_of_int d) in
+  (if u.store.pool == tbl.store.pool then begin
+     let cu = u.store.codes and ct = tbl.store.codes in
+     for k = 0 to size tbl - 1 do
+       let ru = row_at u k and rt = row_at tbl k in
+       let d = ref 0 in
+       for c = 0 to Array.length ct - 1 do
+         if cu.(c).(ru) <> ct.(c).(rt) then incr d
+       done;
+       add k !d
+     done
+   end
+   else
+     for k = 0 to size tbl - 1 do
+       add k (Tuple.hamming (tuple_at tbl k) (tuple_at u k))
+     done);
   !acc
 
 (* ---------- domains ---------- *)
@@ -794,12 +810,26 @@ let active_domain tbl a =
   |> List.map (Interner.value tbl.store.pool)
   |> List.sort Value.compare
 
-let all_values tbl =
-  let arity = Array.length tbl.store.codes in
-  List.init arity (fun col -> distinct_codes_of_col tbl col)
-  |> List.concat
-  |> List.map (Interner.value tbl.store.pool)
-  |> List.sort_uniq Value.compare
+(* One pass marks the codes the visible rows hold; only the marked
+   values are decoded, and nothing is sorted. *)
+let fresh_supply tbl =
+  let st = tbl.store in
+  let used = Bytes.make (Interner.size st.pool) '\000' in
+  let mark col r = Bytes.set used col.(r) '\001' in
+  Array.iter
+    (fun col ->
+      match tbl.view with
+      | All ->
+        for r = 0 to tbl.len - 1 do
+          mark col r
+        done
+      | Rows a -> Array.iter (mark col) a)
+    st.codes;
+  let values = ref [] in
+  Bytes.iteri
+    (fun c m -> if m <> '\000' then values := Interner.value st.pool c :: !values)
+    used;
+  Value.Supply.starting_above !values
 
 (* ---------- equality and display ---------- *)
 
@@ -840,6 +870,7 @@ module View = struct
   let tuple = tuple_at
   let weight = weight_at
   let ids_array tbl = Array.init (size tbl) (id_at tbl)
+  let map = map_at
 
   let of_positions tbl positions =
     let n = Array.length positions in

@@ -187,7 +187,8 @@ val union : t -> t -> t
 val union_all : Schema.t -> t list -> t
 
 (** [map_tuples tbl f] applies [f] to every tuple, keeping ids and weights:
-    the result is an update of [tbl] in the paper's sense. *)
+    the result is an update of [tbl] in the paper's sense. It is
+    {!View.map} with the id in place of the position. *)
 val map_tuples : t -> (id -> Tuple.t -> Tuple.t) -> t
 
 (** [set_tuple tbl i tp] replaces the tuple at [i], keeping its weight.
@@ -218,7 +219,12 @@ val is_update_of : t -> t -> bool
     @raise Invalid_argument if [s] is not a subset of [tbl]. *)
 val dist_sub : t -> t -> float
 
-(** [dist_upd u tbl] is [dist_upd(U, T)]: the weighted Hamming distance.
+(** [dist_upd u tbl] is [dist_upd(U, T)]: the weighted Hamming distance,
+    summed in id order. An update has [tbl]'s ids, so the two tables are
+    walked position by position. When [u] and [tbl] share an interner
+    pool — every table derived from [tbl] through {!map_tuples} or
+    {!View.map} does — a cell is compared by its code; otherwise by its
+    value. Either way the sum is the same float.
 
     @raise Invalid_argument if [u] is not an update of [tbl]. *)
 val dist_upd : t -> t -> float
@@ -227,8 +233,13 @@ val dist_upd : t -> t -> float
     de-duplicated and sorted. *)
 val active_domain : t -> Schema.attribute -> Value.t list
 
-(** All values occurring anywhere in the table. *)
-val all_values : t -> Value.t list
+(** [fresh_supply tbl] is a supply of fresh constants above every
+    fresh constant that occurs (at any nesting depth) in a visible row of
+    [tbl] — {!Value.Supply.starting_above} of the table's values. One
+    pass marks the codes of the visible rows; only the marked values are
+    decoded, and none is sorted. Rows of the store that the view hides
+    do not count. *)
+val fresh_supply : t -> Value.Supply.t
 
 (** {1 Display} *)
 
@@ -257,6 +268,15 @@ module View : sig
 
   (** All visible ids, in increasing order. *)
   val ids_array : t -> id array
+
+  (** [map tbl f] is {!Table.map_tuples} by position: [f k t] is the new
+      tuple of position [k], whose tuple is [t], and the result keeps
+      [tbl]'s ids and weights in the same positions. Tables that are
+      updates of one input line up position by position, so [f] can
+      read another update's row [k] with {!tuple} instead of looking
+      its id up. A cell [f] returns physically unchanged keeps its
+      code; only the other cells are interned. *)
+  val map : t -> (int -> Tuple.t -> Tuple.t) -> t
 
   (** [of_positions tbl ps] is the sub-view of [tbl] keeping the rows at
       positions [ps].

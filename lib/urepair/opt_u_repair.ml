@@ -10,14 +10,15 @@ type failure = { component : Fd_set.t; hardness : hardness }
 exception Refuse of failure
 
 (* Proposition B.2 / Corollary B.3: per consensus attribute, keep the
-   weighted-majority value and overwrite the rest. *)
+   weighted-majority value and overwrite the rest, all attributes in one
+   pass. *)
 let consensus_majority tbl attrs =
   let schema = Table.schema tbl in
-  let majority_value a =
+  let majority_value c =
     let totals = Hashtbl.create 8 in
     Table.iter
       (fun _ t w ->
-        let v = Tuple.get_attr schema t a in
+        let v = Tuple.get t c in
         let prev = Option.value (Hashtbl.find_opt totals v) ~default:0.0 in
         Hashtbl.replace totals v (prev +. w))
       tbl;
@@ -29,12 +30,17 @@ let consensus_majority tbl attrs =
       totals None
     |> Option.map fst
   in
-  Attr_set.fold
-    (fun a acc ->
-      match majority_value a with
-      | None -> acc (* empty table *)
-      | Some v -> Table.map_tuples acc (fun _ t -> Tuple.set_attr schema t a v))
-    attrs tbl
+  let fixes =
+    List.filter_map
+      (fun c -> Option.map (fun v -> (c, v)) (majority_value c))
+      (Schema.indices_of schema attrs)
+  in
+  if fixes = [] then tbl (* no consensus attribute, or an empty table *)
+  else
+    Table.View.map tbl (fun _ t ->
+        List.fold_left
+          (fun t (c, v) -> if Value.equal (Tuple.get t c) v then t else Tuple.set t c v)
+          t fixes)
 
 (* Corollary 4.6 (positive side): common lhs [a] + OSRSucceeds. *)
 let via_common_lhs ?budget d a tbl =
@@ -53,29 +59,28 @@ end)
    in id order, found through one index of S* per attribute. *)
 let via_two_way_unary ?budget d (a, b) tbl =
   let schema = Table.schema tbl in
+  let ca = Schema.index_of schema a and cb = Schema.index_of schema b in
   let s_star = Repair_srepair.Opt_s_repair.run_exn ?budget d tbl in
-  let first_on attr =
+  let first_on c =
     let index = Vtbl.create (max 16 (Table.size s_star)) in
     Table.iter
       (fun _ s _ ->
-        let v = Tuple.get_attr schema s attr in
+        let v = Tuple.get s c in
         if not (Vtbl.mem index v) then Vtbl.add index v s)
       s_star;
     index
   in
-  let on_a = first_on a and on_b = first_on b in
-  Table.map_tuples tbl (fun i t ->
-      if Table.mem s_star i then t
-      else
-        match Vtbl.find_opt on_a (Tuple.get_attr schema t a) with
-        | Some s -> Tuple.set_attr schema t b (Tuple.get_attr schema s b)
-        | None -> (
-          match Vtbl.find_opt on_b (Tuple.get_attr schema t b) with
-          | Some s -> Tuple.set_attr schema t a (Tuple.get_attr schema s a)
-          | None ->
-            (* Impossible: t conflicts with no survivor, contradicting the
-               optimality (hence maximality) of S*. *)
-            assert false))
+  let on_a = first_on ca and on_b = first_on cb in
+  Transform.map_deleted ~table:tbl s_star (fun t ->
+      match Vtbl.find_opt on_a (Tuple.get t ca) with
+      | Some s -> Tuple.set t cb (Tuple.get s cb)
+      | None -> (
+        match Vtbl.find_opt on_b (Tuple.get t cb) with
+        | Some s -> Tuple.set t ca (Tuple.get s ca)
+        | None ->
+          (* Impossible: t conflicts with no survivor, contradicting the
+             optimality (hence maximality) of S*. *)
+          assert false))
 
 let is_two_way_unary d =
   let attrs = Attr_set.elements (Fd_set.attrs d) in
@@ -177,18 +182,41 @@ let decompose d =
   ( consensus,
     List.filter (fun c -> not (Fd_set.is_trivial c)) (Fd_set.components rest) )
 
-(* Compose component solutions: each solution only modifies attributes
-   inside its component, so copying those attribute values into the base
-   update is Theorem 4.1's composition. *)
-let compose schema base updates_with_attrs =
-  List.fold_left
-    (fun acc (attrs, u) ->
-      Table.map_tuples acc (fun i t ->
-          Attr_set.fold
-            (fun a t' ->
-              Tuple.set_attr schema t' a (Tuple.get_attr schema (Table.tuple u i) a))
-            attrs t))
-    base updates_with_attrs
+(* Theorems 4.1 and 4.3: every part is an update of [tbl] that differs
+   from it only on the part's own attributes, and the parts' attributes
+   are disjoint. So the composition is the first part with each other
+   part's cells copied in, row by row at the same position; a part whose
+   row is physically the input's left that row alone. A part without
+   attributes equals the input and is dropped, so one part is its own
+   composition and no part leaves the input. *)
+let compose tbl parts =
+  let n = Table.size tbl in
+  List.iter
+    (fun (_, u) ->
+      if Table.size u <> n then
+        invalid_arg "Opt_u_repair.compose: a part is not an update of the input")
+    parts;
+  match List.filter (fun (attrs, _) -> not (Attr_set.is_empty attrs)) parts with
+  | [] -> tbl
+  | [ (_, u) ] -> u
+  | (_, first) :: rest ->
+    let schema = Table.schema tbl in
+    let rest =
+      List.map (fun (attrs, u) -> (Schema.indices_of schema attrs, u)) rest
+    in
+    Table.View.map first (fun k t ->
+        let input = Table.View.tuple tbl k in
+        List.fold_left
+          (fun t (cols, u) ->
+            let tu = Table.View.tuple u k in
+            if tu == input then t
+            else
+              List.fold_left
+                (fun t c ->
+                  let v = Tuple.get tu c in
+                  if Value.equal v (Tuple.get t c) then t else Tuple.set t c v)
+                t cols)
+          t rest)
 
 let diagnose d =
   List.find_map
@@ -208,15 +236,15 @@ let solve ?(budget = Budget.unlimited ()) ?(runner = Table.seq_runner) d tbl =
     else runner
   in
   let consensus, components = decompose d in
-  let base = consensus_majority tbl consensus in
+  let base = (consensus, consensus_majority tbl consensus) in
   try
     components
     |> Table.fold_budgeted runner budget
          (fun b c -> (Fd_set.attrs c, solve_component ~budget:b c tbl))
-         (fun updates u -> u :: updates)
-         []
+         (fun parts p -> p :: parts)
+         [ base ]
     |> List.rev
-    |> compose (Table.schema tbl) base
+    |> compose tbl
     |> Result.ok
   with Refuse f -> Error f
 

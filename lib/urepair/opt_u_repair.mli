@@ -43,10 +43,18 @@ val consensus_majority : Table.t -> Attr_set.t -> Table.t
     (Theorem 4.1), in {!Fd_set.components} order. *)
 val decompose : Fd_set.t -> Attr_set.t * Fd_set.t list
 
-(** [compose schema base updates] is Theorem 4.1's composition: for each
-    (component attributes, component update) in order, the component's
-    attribute values are copied into [base]. *)
-val compose : Schema.t -> Table.t -> (Attr_set.t * Table.t) list -> Table.t
+(** [compose tbl parts] is the composition of Theorems 4.1 and 4.3. Each
+    part is (its attributes, an update of [tbl] that differs from [tbl]
+    only on those attributes), and the parts' attributes are disjoint:
+    the consensus part and the components of {!decompose}. The result
+    takes each attribute's values from the part that owns it and the
+    rest from [tbl]. It is built by one pass over the first part's rows,
+    copying in only the other parts' cells that differ, position by
+    position; a part without attributes is dropped, a single part is
+    returned as it is, and no part gives [tbl].
+
+    @raise Invalid_argument if a part's size is not [tbl]'s. *)
+val compose : Table.t -> (Attr_set.t * Table.t) list -> Table.t
 
 (** [solve ?budget ?runner d tbl] is [Ok u] with [u] an optimal
     U-repair, or [Error f] naming the first component the solver cannot

@@ -12,6 +12,18 @@ let subset_of_update ~table u =
   in
   Table.restrict table untouched
 
+(* [s] is a subset of [table], and both list their rows in id order, so
+   one pointer into [s] moving in step with [table]'s positions tells
+   whether each row survived. *)
+let map_deleted ~table s f =
+  let m = Table.size s and j = ref 0 in
+  Table.View.map table (fun k t ->
+      if !j < m && Table.View.id s !j = Table.View.id table k then begin
+        incr j;
+        t
+      end
+      else f t)
+
 let update_of_subset ?cover d ~table s =
   if not (Table.is_subset_of s table) then
     invalid_arg "Transform.update_of_subset: not a subset";
@@ -29,13 +41,11 @@ let update_of_subset ?cover d ~table s =
       c
     | None -> if Fd_set.is_empty d then Attr_set.empty else Lhs_analysis.lhs_cover d
   in
-  let schema = Table.schema table in
-  let supply = Value.Supply.starting_above (Table.all_values table) in
-  Table.map_tuples table (fun i t ->
-      if Table.mem s i then t
-      else
-        (* One fresh constant per deleted tuple, written into every cover
-           attribute: the tuple can no longer agree with anything on any
-           lhs. *)
-        let fresh = Value.Supply.next supply in
-        Attr_set.fold (fun a acc -> Tuple.set_attr schema acc a fresh) cover t)
+  let cols = Schema.indices_of (Table.schema table) cover in
+  let supply = Table.fresh_supply table in
+  map_deleted ~table s (fun t ->
+      (* One fresh constant per deleted tuple, in id order, written into
+         every cover attribute: the tuple can no longer agree with
+         anything on any lhs. *)
+      let fresh = Value.Supply.next supply in
+      List.fold_left (fun t c -> Tuple.set t c fresh) t cols)

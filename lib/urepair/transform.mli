@@ -18,8 +18,16 @@ open Repair_fd
     @raise Invalid_argument if [u] is not an update of [table]. *)
 val subset_of_update : table:Table.t -> Table.t -> Table.t
 
+(** [map_deleted ~table s f] is the update of [table] that keeps the
+    tuples of [s] and replaces every other tuple [t] by [f t], calling
+    [f] in id order. [s] must be a subset of [table] (unchecked): one
+    pointer into [s] walks in step with [table], with no id lookups. *)
+val map_deleted : table:Table.t -> Table.t -> (Tuple.t -> Tuple.t) -> Table.t
+
 (** [update_of_subset ?cover d ~table s] implements direction (2); [cover]
-    defaults to a minimum lhs cover of [d].
+    defaults to a minimum lhs cover of [d]. Deleted tuples receive their
+    fresh constants in id order, starting above every fresh constant in
+    [table] ({!Table.fresh_supply}).
 
     @raise Invalid_argument if [s] is not a subset of [table], [d] is not
     consensus-free, or [cover] misses some lhs. *)

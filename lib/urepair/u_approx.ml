@@ -15,7 +15,7 @@ let via_s_repair d tbl =
 let best d tbl =
   let consensus, components = Opt_u_repair.decompose d in
   (* Theorem 4.3: the consensus part is solved exactly (ratio 1). *)
-  let base = Opt_u_repair.consensus_majority tbl consensus in
+  let base = (consensus, Opt_u_repair.consensus_majority tbl consensus) in
   let solve_component c =
     match Opt_u_repair.solve c tbl with
     | Ok u -> (u, 1.0)
@@ -36,8 +36,8 @@ let best d tbl =
     List.map (fun c -> (Fd_set.attrs c, solve_component c)) components
   in
   let u =
-    Opt_u_repair.compose (Table.schema tbl) base
-      (List.map (fun (attrs, (cu, _)) -> (attrs, cu)) solved)
+    Opt_u_repair.compose tbl
+      (base :: List.map (fun (attrs, (cu, _)) -> (attrs, cu)) solved)
   in
   (u, List.fold_left (fun acc (_, (_, r)) -> max acc r) 1.0 solved)
 

@@ -16,7 +16,7 @@ let optimal ?(budget = Budget.unlimited ()) ?(fresh = 3) ?(max_cells = 24) d tbl
   let d = Fd_set.remove_trivial d in
   if Fd_set.satisfied_by d tbl then tbl
   else begin
-    let supply = Value.Supply.starting_above (Table.all_values tbl) in
+    let supply = Table.fresh_supply tbl in
     let fresh_pool = List.init fresh (fun _ -> Value.Supply.next supply) in
     let candidates =
       Array.init arity (fun j ->

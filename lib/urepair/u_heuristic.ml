@@ -19,10 +19,7 @@ let vote_sweep d tbl =
   let schema = Table.schema tbl in
   List.fold_left
     (fun tbl fd ->
-      let rhs_attrs =
-        Schema.indices_of schema (Fd.rhs fd)
-        |> List.map (Schema.attribute_at schema)
-      in
+      let rhs_cols = Schema.indices_of schema (Fd.rhs fd) in
       let changes = Hashtbl.create 64 in
       List.iter
         (fun (_, sub) ->
@@ -48,8 +45,8 @@ let vote_sweep d tbl =
               (fun i t _ ->
                 let t' =
                   List.fold_left2
-                    (fun acc a v -> Tuple.set_attr schema acc a v)
-                    t rhs_attrs (Tuple.values rhs_values)
+                    (fun acc c v -> Tuple.set acc c v)
+                    t rhs_cols (Tuple.values rhs_values)
                 in
                 if not (Tuple.equal t t') then Hashtbl.replace changes i t')
               sub)
@@ -61,7 +58,8 @@ let vote_sweep d tbl =
 (* Fallback: give every tuple still involved in a violation a fresh
    constant on a minimum lhs cover — afterwards it shares no lhs with
    anything, so all violations involving it vanish. Constants are handed
-   out in ascending-id order. *)
+   out in ascending-id order, by one walk over the rows in step with the
+   sorted violators. *)
 let isolate_violators d tbl =
   let violators =
     Fd_set.violations d tbl
@@ -70,19 +68,16 @@ let isolate_violators d tbl =
   in
   if violators = [] then tbl
   else begin
-    let schema = Table.schema tbl in
-    let cover = Lhs_analysis.lhs_cover d in
-    let supply = Value.Supply.starting_above (Table.all_values tbl) in
-    let changes = Hashtbl.create (List.length violators) in
-    List.iter
-      (fun i ->
-        let fresh = Value.Supply.next supply in
-        Hashtbl.replace changes i
-          (Attr_set.fold
-             (fun a acc -> Tuple.set_attr schema acc a fresh)
-             cover (Table.tuple tbl i)))
-      violators;
-    apply changes tbl
+    let cols = Schema.indices_of (Table.schema tbl) (Lhs_analysis.lhs_cover d) in
+    let supply = Table.fresh_supply tbl in
+    let pending = ref violators in
+    Table.View.map tbl (fun k t ->
+        match !pending with
+        | i :: rest when i = Table.View.id tbl k ->
+          pending := rest;
+          let fresh = Value.Supply.next supply in
+          List.fold_left (fun t c -> Tuple.set t c fresh) t cols
+        | _ -> t)
   end
 
 let local_repair ?(max_rounds = 4) d tbl =

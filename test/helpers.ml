@@ -453,3 +453,176 @@ let two_way_unary_scan d (a, b) tbl =
           match partner_on b vb with
           | Some s -> Tuple.set_attr schema t a (Tuple.get_attr schema s a)
           | None -> assert false))
+
+(* ---------- the U-repair passes by id ---------- *)
+
+(* Every value occurring anywhere in the table, de-duplicated and
+   sorted: the fresh floor of [Value.Supply.starting_above] before
+   [Table.fresh_supply]. *)
+let all_values tbl =
+  Schema.attributes (Table.schema tbl)
+  |> List.concat_map (Table.active_domain tbl)
+  |> List.sort_uniq Value.compare
+
+(* The Section 4 passes after S* as first written, kept as the oracle of
+   [Opt_u_repair.solve], [U_approx.best], [Transform.update_of_subset]
+   and [Table.dist_upd]: one map pass per consensus attribute, one
+   [Table.mem] per row of Cor. 4.6 and Prop. 4.9, the fresh floor from
+   [all_values], Theorem 4.1's composition by one id lookup and one
+   tuple copy per copied cell, and distances by id. Sequential, without
+   budgets. *)
+module Parent_u = struct
+  module Opt_u_repair = Repair_urepair.Opt_u_repair
+  module Simplify = Repair_dichotomy.Simplify
+
+  let dist_upd u tbl =
+    Table.fold
+      (fun i t w acc ->
+        acc +. (w *. float_of_int (Tuple.hamming t (Table.tuple u i))))
+      tbl 0.0
+
+  let consensus_majority tbl attrs =
+    let schema = Table.schema tbl in
+    let majority_value a =
+      let totals = Hashtbl.create 8 in
+      Table.iter
+        (fun _ t w ->
+          let v = Tuple.get_attr schema t a in
+          let prev = Option.value (Hashtbl.find_opt totals v) ~default:0.0 in
+          Hashtbl.replace totals v (prev +. w))
+        tbl;
+      Hashtbl.fold
+        (fun v w best ->
+          match best with
+          | Some (_, bw) when bw >= w -> best
+          | _ -> Some (v, w))
+        totals None
+      |> Option.map fst
+    in
+    Attr_set.fold
+      (fun a acc ->
+        match majority_value a with
+        | None -> acc
+        | Some v ->
+          Table.map_tuples acc (fun _ t -> Tuple.set_attr schema t a v))
+      attrs tbl
+
+  let update_of_subset ?cover d ~table s =
+    let d = Fd_set.remove_trivial d in
+    let cover =
+      match cover with
+      | Some c -> c
+      | None ->
+        if Fd_set.is_empty d then Attr_set.empty
+        else Lhs_analysis.lhs_cover d
+    in
+    let schema = Table.schema table in
+    let supply = Value.Supply.starting_above (all_values table) in
+    Table.map_tuples table (fun i t ->
+        if Table.mem s i then t
+        else
+          let fresh = Value.Supply.next supply in
+          Attr_set.fold (fun a acc -> Tuple.set_attr schema acc a fresh) cover t)
+
+  module Vtbl = Hashtbl.Make (struct
+    type t = Value.t
+
+    let equal = Value.equal
+    let hash = Value.hash
+  end)
+
+  let via_two_way_unary d (a, b) tbl =
+    let schema = Table.schema tbl in
+    let s_star = Repair_srepair.Opt_s_repair.run_exn d tbl in
+    let first_on attr =
+      let index = Vtbl.create (max 16 (Table.size s_star)) in
+      Table.iter
+        (fun _ s _ ->
+          let v = Tuple.get_attr schema s attr in
+          if not (Vtbl.mem index v) then Vtbl.add index v s)
+        s_star;
+      index
+    in
+    let on_a = first_on a and on_b = first_on b in
+    Table.map_tuples tbl (fun i t ->
+        if Table.mem s_star i then t
+        else
+          match Vtbl.find_opt on_a (Tuple.get_attr schema t a) with
+          | Some s -> Tuple.set_attr schema t b (Tuple.get_attr schema s b)
+          | None -> (
+            match Vtbl.find_opt on_b (Tuple.get_attr schema t b) with
+            | Some s -> Tuple.set_attr schema t a (Tuple.get_attr schema s a)
+            | None -> assert false))
+
+  let compose schema base updates_with_attrs =
+    List.fold_left
+      (fun acc (attrs, u) ->
+        Table.map_tuples acc (fun i t ->
+            Attr_set.fold
+              (fun a t' ->
+                Tuple.set_attr schema t' a
+                  (Tuple.get_attr schema (Table.tuple u i) a))
+              attrs t))
+      base updates_with_attrs
+
+  let is_two_way_unary d =
+    match Attr_set.elements (Fd_set.attrs d) with
+    | [ a; b ] ->
+      let cl x = Fd_set.closure_of d (Attr_set.singleton x) in
+      if Attr_set.mem b (cl a) && Attr_set.mem a (cl b) then Some (a, b)
+      else None
+    | _ -> None
+
+  (* Prop. 4.9, then Cor. 4.6; [None] for a refused component. *)
+  let solve_component c tbl =
+    match (is_two_way_unary c, Simplify.step c) with
+    | Some ab, _ when Simplify.succeeds c -> Some (via_two_way_unary c ab tbl)
+    | _, Some (Simplify.Common_lhs a) when Simplify.succeeds c ->
+      let s_star = Repair_srepair.Opt_s_repair.run_exn c tbl in
+      Some (update_of_subset ~cover:(Attr_set.singleton a) c ~table:tbl s_star)
+    | _ -> None
+
+  let solve d tbl =
+    let consensus, components = Opt_u_repair.decompose d in
+    let base = consensus_majority tbl consensus in
+    let solved =
+      List.map (fun c -> (Fd_set.attrs c, solve_component c tbl)) components
+    in
+    if List.exists (fun (_, u) -> u = None) solved then None
+    else
+      Some
+        (compose (Table.schema tbl) base
+           (List.map (fun (attrs, u) -> (attrs, Option.get u)) solved))
+
+  let via_s_repair d tbl =
+    let d = Fd_set.normalize d in
+    if Fd_set.is_empty d then (tbl, 1.0)
+    else
+      let s = Repair_srepair.S_approx.approx2 d tbl in
+      ( update_of_subset d ~table:tbl s,
+        2.0 *. float_of_int (Lhs_analysis.mlc d) )
+
+  let best d tbl =
+    let consensus, components = Opt_u_repair.decompose d in
+    let base = consensus_majority tbl consensus in
+    let solve_component c =
+      match solve c tbl with
+      | Some u -> (u, 1.0)
+      | None ->
+        let certified, ratio = via_s_repair c tbl in
+        let heuristic = Repair_urepair.U_heuristic.local_repair c tbl in
+        let pick =
+          if dist_upd heuristic tbl < dist_upd certified tbl then heuristic
+          else certified
+        in
+        (pick, ratio)
+    in
+    let solved =
+      List.map (fun c -> (Fd_set.attrs c, solve_component c)) components
+    in
+    let u =
+      compose (Table.schema tbl) base
+        (List.map (fun (attrs, (cu, _)) -> (attrs, cu)) solved)
+    in
+    (u, List.fold_left (fun acc (_, (_, r)) -> max acc r) 1.0 solved)
+end

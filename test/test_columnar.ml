@@ -340,7 +340,7 @@ let prop_domains_model =
     gen_layouts
     (on_layouts (fun tbl m _ _ ->
          let schema = m.m_schema in
-         List.equal Value.equal (Table.all_values tbl)
+         List.equal Value.equal (all_values tbl)
            (model_values m (List.init (Schema.arity schema) Fun.id))
          && List.for_all
               (fun a ->
@@ -434,6 +434,47 @@ let prop_map_tuples_model =
           Table.equal u (table_of_model m) && groups_agree u m x)
         [ tbl; Table.select tbl (fun i _ -> i mod 3 <> 1) ])
 
+(* [dist_upd] compares codes when both tables share a pool and values
+   otherwise; both must give the model's sum (by id, in id order) bit
+   for bit, on a whole store, a [select] sub-view and a cross-store
+   [union]. The update is the mapped table itself (shared pool) and a
+   copy of it built row by row (its own pool). *)
+let prop_dist_upd_model =
+  qcheck ~count:300 "dist_upd agrees with the model on own and shared pools"
+    gen_layouts
+    (on_layouts (fun tbl _ _ _ ->
+         let u = Table.map_tuples tbl remap in
+         let copy =
+           Table.of_list (Table.schema u)
+             (Table.fold (fun i t w acc -> (i, w, t) :: acc) u [])
+         in
+         List.for_all
+           (fun u -> Float.equal (Table.dist_upd u tbl) (Parent_u.dist_upd u tbl))
+           [ u; copy ]))
+
+(* Some cells become fresh constants, bare or inside a pair, so the
+   floor depends on which rows a layout shows. *)
+let freshen i t =
+  Tuple.make
+    (List.mapi
+       (fun c v ->
+         match (v, (i + c) mod 4) with
+         | Value.Int k, 0 -> Value.Fresh (k * i)
+         | Value.Int k, 1 -> Value.pair (Value.int k) (Value.Fresh (i + c))
+         | v, _ -> v)
+       (Tuple.values t))
+
+let prop_fresh_supply_model =
+  qcheck ~count:300 "fresh_supply agrees with the model" gen_layouts
+    (fun (t1, t2, rest) ->
+      on_layouts
+        (fun tbl m _ _ ->
+          let all = List.init (Schema.arity m.m_schema) Fun.id in
+          Value.equal
+            (Value.Supply.next (Table.fresh_supply tbl))
+            (Value.Supply.next (Value.Supply.starting_above (model_values m all))))
+        (Table.map_tuples t1 freshen, Table.map_tuples t2 freshen, rest))
+
 (* ---------- OptSRepair representation-independence ---------- *)
 
 (* The same logical table reached through three different construction
@@ -506,7 +547,9 @@ let () =
           prop_union_all_cross_store;
           prop_map_tuples_model;
           Alcotest.test_case "union duplicate id" `Quick
-            test_union_duplicate_id ] );
+            test_union_duplicate_id;
+          prop_dist_upd_model;
+          prop_fresh_supply_model ] );
       ( "classifier users",
         [ prop_view_groups_model;
           prop_view_group_within_model;

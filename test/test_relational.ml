@@ -283,7 +283,7 @@ let test_table_distances () =
 let test_table_active_domain () =
   let t = tbl3 () in
   Alcotest.(check int) "adom A" 2 (List.length (Table.active_domain t "A"));
-  Alcotest.(check int) "all values" 2 (List.length (Table.all_values t))
+  Alcotest.(check int) "all values" 2 (List.length (all_values t))
 
 let test_table_map_weights () =
   let t = Table.map_weights (tbl3 ()) (fun _ w -> w *. 2.0) in

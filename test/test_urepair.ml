@@ -155,6 +155,81 @@ let prop_two_way_unary_index_matches_scan =
             (two_way_unary_scan d ("A", "B") t))
         [ "A -> B; B -> A"; "B -> A; A -> B; A -> A" ])
 
+(* The U passes after S* walk rows by position; the oracle is the same
+   passes by id (Helpers.Parent_u), compared through the CSV text, so
+   ids, weights and every value — fresh constants included — must
+   agree. Δs over A–E have zero, one and two components, with and
+   without consensus attributes, and U_approx.best also meets refused
+   components. Tables are weighted, ids arrive shuffled, about one cell
+   in six holds a fresh constant, and half of them are [select]
+   sub-views hiding every third id. Cor. 4.6's update also takes S*
+   re-read through Csv_io, so that it lives in another store. *)
+let five_schema = Schema.make "R" [ "A"; "B"; "C"; "D"; "E" ]
+
+let tractable_deltas =
+  [ ""; "-> E"; "A -> B"; "A -> B; B -> A"; "A -> B C; A D -> E";
+    "-> E; A -> B"; "A -> B; C -> D"; "-> E; A -> B; C -> D";
+    "-> D E; A -> B; B -> A" ]
+
+let refused_deltas =
+  [ "A -> B; B -> C"; "-> E; A -> B; B -> C"; "A -> B; B -> C; D -> E" ]
+
+let gen_positional_case =
+  QCheck2.Gen.(
+    let value =
+      frequency
+        [ (5, map Value.int (int_range 1 3));
+          (1, map (fun i -> Value.Fresh i) (int_range 0 9)) ]
+    in
+    let* n = int_range 0 30 in
+    let* rows = list_repeat n (pair (list_repeat 5 value) (int_range 1 3)) in
+    let* ids = shuffle_l (List.init n (fun k -> (2 * k) + 1)) in
+    let* sub_view = bool in
+    let tbl =
+      Table.of_list five_schema
+        (List.map2
+           (fun id (vs, w) -> (id, float_of_int w, Tuple.make vs))
+           ids rows)
+    in
+    return (if sub_view then Table.select tbl (fun i _ -> i mod 3 <> 0) else tbl))
+
+let reread s =
+  Csv_io.parse_string ~name:(Schema.name (Table.schema s)) (Csv_io.to_string s)
+
+let prop_positional_passes_match_parent =
+  qcheck ~count:200
+    ~print:(fun t -> Fmt.str "%a" Table.pp t)
+    "U passes by position = the passes by id" gen_positional_case
+    (fun t ->
+      let same u u' = String.equal (Csv_io.to_string u) (Csv_io.to_string u') in
+      List.for_all
+        (fun text ->
+          let d = Fd_set.parse text in
+          let u = Opt_u_repair.solve_exn d t in
+          same u (Option.get (Parent_u.solve d t))
+          && Float.equal (Table.dist_upd u t) (Parent_u.dist_upd u t))
+        tractable_deltas
+      && List.for_all
+           (fun text ->
+             let d = Fd_set.parse text in
+             let u, ratio = U_approx.best d t in
+             let u', ratio' = Parent_u.best d t in
+             same u u' && Float.equal ratio ratio')
+           (tractable_deltas @ refused_deltas)
+      && List.for_all
+           (fun (text, cover) ->
+             let d = Fd_set.parse text in
+             let cover = Option.map Attr_set.of_list cover in
+             let s = Repair_srepair.S_approx.approx2 d t in
+             List.for_all
+               (fun s ->
+                 same
+                   (Transform.update_of_subset ?cover d ~table:t s)
+                   (Parent_u.update_of_subset ?cover d ~table:t s))
+               [ s; reread s ])
+           [ ("A -> B", None); ("A -> B; A C -> D", Some [ "A" ]);
+             ("A -> B; B -> C", None); ("A -> B; B -> C", Some [ "A"; "B" ]) ])
+
 let prop_disjoint_composition =
   qcheck ~count:25 "Thm 4.1: attribute-disjoint composition is optimal"
     QCheck2.Gen.(int_range 0 10_000)
@@ -387,7 +462,7 @@ module Per_tuple_heuristic = struct
     else begin
       let schema = Table.schema tbl in
       let cover = Lhs_analysis.lhs_cover d in
-      let supply = Value.Supply.starting_above (Table.all_values tbl) in
+      let supply = Value.Supply.starting_above (all_values tbl) in
       List.fold_left
         (fun tbl i ->
           let fresh = Value.Supply.next supply in
@@ -521,7 +596,8 @@ let () =
           prop_disjoint_composition;
           prop_consensus_majority;
           Alcotest.test_case "refusals are diagnosed" `Quick test_refusals;
-          Alcotest.test_case "tractability table" `Quick test_tractable_classifications ] );
+          Alcotest.test_case "tractability table" `Quick test_tractable_classifications;
+          prop_positional_passes_match_parent ] );
       ( "u_check",
         [ Alcotest.test_case "minimality" `Quick test_u_check_minimality;
           Alcotest.test_case "updated cells" `Quick test_updated_cells ] );
