@@ -67,8 +67,11 @@ dune exec bin/repair_cli.exe -- profile --check "$tdir/out.json"
 # The 3-row table takes the exact rungs. The generated 2,500-row tables
 # are past them: big.csv (A -> B; B -> C) compares S_approx.approx2 on
 # the sharded conflict graph and U_approx.best, office.csv fans the
-# top-level common-lhs blocks of OptSRepair out, and two.csv
-# (A -> B; C -> D) fans the U-repair components out.
+# top-level common-lhs blocks of OptSRepair out, two.csv (A -> B; C -> D)
+# fans the U-repair components out, and cons.csv (-> E; A -> B; C -> D,
+# weighted) composes a consensus part with fanned-out components. Every
+# Δ goes through --fds=, since one that starts with "->" would read as
+# an option after -f.
 office_fds="facility -> city; facility room -> floor"
 dune exec bin/repair_cli.exe -- generate -f "A -> B; B -> C" -a "A B C D" \
   --size 2500 --domain 1000 --noise 0.05 --seed 101 -o "$tdir/big.csv"
@@ -77,13 +80,17 @@ dune exec bin/repair_cli.exe -- generate -f "$office_fds" \
   --size 2500 --domain 100 --noise 0.05 --seed 102 -o "$tdir/office.csv"
 dune exec bin/repair_cli.exe -- generate -f "A -> B; C -> D" -a "A B C D" \
   --size 2500 --domain 100 --noise 0.05 --seed 103 -o "$tdir/two.csv"
+dune exec bin/repair_cli.exe -- generate --fds="-> E; A -> B; C -> D" \
+  -a "A B C D E" --weighted \
+  --size 2500 --domain 100 --noise 0.05 --seed 108 -o "$tdir/cons.csv"
 for case in "t.csv|A -> B; B -> C" "big.csv|A -> B; B -> C" \
-  "office.csv|$office_fds" "two.csv|A -> B; C -> D"; do
+  "office.csv|$office_fds" "two.csv|A -> B; C -> D" \
+  "cons.csv|-> E; A -> B; C -> D"; do
   input=${case%%|*} fds=${case#*|}
   for sub in s-repair u-repair; do
-    dune exec bin/repair_cli.exe -- "$sub" -f "$fds" \
+    dune exec bin/repair_cli.exe -- "$sub" --fds="$fds" \
       --domains 1 "$tdir/$input" -o "$tdir/d1.csv" > "$tdir/d1.out"
-    dune exec bin/repair_cli.exe -- "$sub" -f "$fds" \
+    dune exec bin/repair_cli.exe -- "$sub" --fds="$fds" \
       --domains 4 "$tdir/$input" -o "$tdir/d4.csv" > "$tdir/d4.out"
     cmp "$tdir/d1.csv" "$tdir/d4.csv"
     cmp "$tdir/d1.out" "$tdir/d4.out"
