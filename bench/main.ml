@@ -1245,22 +1245,32 @@ let e24 () =
 
 (* ----------------------------------------------------------------- E25 *)
 
-(* The layers of a CLI repair, end to end; for now the CSV IO layers.
-   Office tables (the office FDs, domain 1000, noise 0.05) of 10k and
-   100k rows are generated in process, rendered with [Csv_io.to_string]
-   and read back with [Csv_io.parse_string]. Rendering the table read
-   back must give the same text, and from 10k to 100k rows (10× the
-   data) each time may grow at most 20×. Not in the smoke subset. *)
+(* The layers of a CLI repair, end to end; for now the CSV IO layers and
+   the U-repair layers after them. Office tables (the office FDs, domain
+   1000, noise 0.05) of 10k and 100k rows are generated in process,
+   rendered with [Csv_io.to_string] and read back with
+   [Csv_io.parse_string]; the table read back is U-repaired with
+   [Opt_u_repair.solve] (u-solve, Cor. 4.6 through OptSRepair) and its
+   distance taken with [Table.dist_upd] (u-dist). Each layer is timed
+   once, after a full major collection, as in E20. Rendering the table
+   read back must give the same text, and from 10k to 100k rows (10× the
+   data) each layer's time may grow at most 20×. Not in the smoke
+   subset. *)
 let e25 () =
-  section "E25" "End-to-end layers — CSV load and render";
+  section "E25" "End-to-end layers — CSV load and render, U-repair";
   let schema = Schema.make "T" [ "facility"; "room"; "city"; "floor" ] in
   let d = Fd_set.parse "facility -> city; facility room -> floor" in
   let time f =
+    Gc.full_major ();
     let t0 = Unix.gettimeofday () in
     let r = f () in
     (r, (Unix.gettimeofday () -. t0) *. 1000.0)
   in
-  let times = Hashtbl.create 4 in
+  let times = Hashtbl.create 8 in
+  let layer_record layer n ms =
+    Hashtbl.replace times (layer, n) ms;
+    record ~n ~solver:(Printf.sprintf "%s/n=%d" layer n) ~wall_ms:ms ()
+  in
   List.iter
     (fun n ->
       let tbl =
@@ -1276,11 +1286,20 @@ let e25 () =
       let mbps ms = mb /. (ms /. 1000.0) in
       List.iter
         (fun (layer, ms) ->
-          Hashtbl.replace times (layer, n) ms;
-          record ~n ~solver:(Printf.sprintf "%s/n=%d" layer n) ~wall_ms:ms ();
+          layer_record layer n ms;
           row "  %-10s n=%-7d %5.2f MB %9.2f ms %7.1f MB/s@." layer n mb ms
             (mbps ms))
-        [ ("csv-load", load_ms); ("csv-render", render_ms) ])
+        [ ("csv-load", load_ms); ("csv-render", render_ms) ];
+      let u, solve_ms =
+        time (fun () -> R.Urepair.Opt_u_repair.solve_exn d parsed)
+      in
+      let dist, dist_ms = time (fun () -> Table.dist_upd u parsed) in
+      List.iter
+        (fun (layer, ms) ->
+          layer_record layer n ms;
+          row "  %-10s n=%-7d %9.2f ms@." layer n ms)
+        [ ("u-solve", solve_ms); ("u-dist", dist_ms) ];
+      row "  U-repair distance at n=%d: %g@." n dist)
     [ 10_000; 100_000 ];
   List.iter
     (fun layer ->
@@ -1290,7 +1309,7 @@ let e25 () =
       row "  %s 100k/10k time ratio (linear = 10x): %.1fx@." layer growth;
       check (Printf.sprintf "%s 100k/10k time ratio is at most 20x" layer)
         (growth <= 20.0))
-    [ "csv-load"; "csv-render" ]
+    [ "csv-load"; "csv-render"; "u-solve"; "u-dist" ]
 
 (* ------------------------------------------------------------- runner *)
 
