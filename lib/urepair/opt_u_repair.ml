@@ -194,7 +194,7 @@ let compose tbl parts =
   List.iter
     (fun (_, u) ->
       if Table.size u <> n then
-        invalid_arg "Opt_u_repair.compose: a part is not an update of the input")
+        invalid_arg "Opt_u_repair.compose: a part is not the size of the input")
     parts;
   match List.filter (fun (attrs, _) -> not (Attr_set.is_empty attrs)) parts with
   | [] -> tbl
