@@ -230,6 +230,17 @@ let prop_positional_passes_match_parent =
            [ ("A -> B", None); ("A -> B; A C -> D", Some [ "A" ]);
              ("A -> B; B -> C", None); ("A -> B; B -> C", Some [ "A"; "B" ]) ])
 
+let test_compose_parts () =
+  let t = D.office_table in
+  let u = Opt_u_repair.solve_exn D.office_fds t in
+  let city = Attr_set.singleton "city" in
+  Alcotest.check_raises "a part of another size"
+    (Invalid_argument "Opt_u_repair.compose: a part is not the size of the input")
+    (fun () -> ignore (Opt_u_repair.compose t [ (city, Table.remove t [ 1 ]) ]));
+  Alcotest.(check bool) "no part: the input" true (Opt_u_repair.compose t [] == t);
+  Alcotest.(check bool) "one part: itself" true
+    (Opt_u_repair.compose t [ (Attr_set.empty, t); (city, u) ] == u)
+
 let prop_disjoint_composition =
   qcheck ~count:25 "Thm 4.1: attribute-disjoint composition is optimal"
     QCheck2.Gen.(int_range 0 10_000)
@@ -597,7 +608,8 @@ let () =
           prop_consensus_majority;
           Alcotest.test_case "refusals are diagnosed" `Quick test_refusals;
           Alcotest.test_case "tractability table" `Quick test_tractable_classifications;
-          prop_positional_passes_match_parent ] );
+          prop_positional_passes_match_parent;
+          Alcotest.test_case "composition of parts" `Quick test_compose_parts ] );
       ( "u_check",
         [ Alcotest.test_case "minimality" `Quick test_u_check_minimality;
           Alcotest.test_case "updated cells" `Quick test_updated_cells ] );
