@@ -57,9 +57,9 @@ let vote_sweep d tbl =
 
 (* Fallback: give every tuple still involved in a violation a fresh
    constant on a minimum lhs cover — afterwards it shares no lhs with
-   anything, so all violations involving it vanish. Constants are handed
-   out in ascending-id order, by one walk over the rows in step with the
-   sorted violators. *)
+   anything, so all violations involving it vanish. That is Prop. 4.4's
+   update of the consistent subset without the violators; constants are
+   handed out in ascending-id order. *)
 let isolate_violators d tbl =
   let violators =
     Fd_set.violations d tbl
@@ -67,18 +67,9 @@ let isolate_violators d tbl =
     |> List.sort_uniq compare
   in
   if violators = [] then tbl
-  else begin
-    let cols = Schema.indices_of (Table.schema tbl) (Lhs_analysis.lhs_cover d) in
-    let supply = Table.fresh_supply tbl in
-    let pending = ref violators in
-    Table.View.map tbl (fun k t ->
-        match !pending with
-        | i :: rest when i = Table.View.id tbl k ->
-          pending := rest;
-          let fresh = Value.Supply.next supply in
-          List.fold_left (fun t c -> Tuple.set t c fresh) t cols
-        | _ -> t)
-  end
+  else
+    Transform.update_of_subset ~cover:(Lhs_analysis.lhs_cover d) d ~table:tbl
+      (Table.remove tbl violators)
 
 let local_repair ?(max_rounds = 4) d tbl =
   let d = Fd_set.normalize d in
