@@ -471,7 +471,7 @@ let all_values tbl =
    [all_values], Theorem 4.1's composition by one id lookup and one
    tuple copy per copied cell, and distances by id. Sequential, without
    budgets. *)
-module Parent_u = struct
+module U_by_id = struct
   module Opt_u_repair = Repair_urepair.Opt_u_repair
   module Simplify = Repair_dichotomy.Simplify
 

@@ -449,7 +449,7 @@ let prop_dist_upd_model =
              (Table.fold (fun i t w acc -> (i, w, t) :: acc) u [])
          in
          List.for_all
-           (fun u -> Float.equal (Table.dist_upd u tbl) (Parent_u.dist_upd u tbl))
+           (fun u -> Float.equal (Table.dist_upd u tbl) (U_by_id.dist_upd u tbl))
            [ u; copy ]))
 
 (* Some cells become fresh constants, bare or inside a pair, so the

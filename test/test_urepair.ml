@@ -156,7 +156,7 @@ let prop_two_way_unary_index_matches_scan =
         [ "A -> B; B -> A"; "B -> A; A -> B; A -> A" ])
 
 (* The U passes after S* walk rows by position; the oracle is the same
-   passes by id (Helpers.Parent_u), compared through the CSV text, so
+   passes by id (Helpers.U_by_id), compared through the CSV text, so
    ids, weights and every value — fresh constants included — must
    agree. Δs over A–E have zero, one and two components, with and
    without consensus attributes, and U_approx.best also meets refused
@@ -196,7 +196,7 @@ let gen_positional_case =
 let reread s =
   Csv_io.parse_string ~name:(Schema.name (Table.schema s)) (Csv_io.to_string s)
 
-let prop_positional_passes_match_parent =
+let prop_positional_passes_match_by_id =
   qcheck ~count:200
     ~print:(fun t -> Fmt.str "%a" Table.pp t)
     "U passes by position = the passes by id" gen_positional_case
@@ -206,14 +206,14 @@ let prop_positional_passes_match_parent =
         (fun text ->
           let d = Fd_set.parse text in
           let u = Opt_u_repair.solve_exn d t in
-          same u (Option.get (Parent_u.solve d t))
-          && Float.equal (Table.dist_upd u t) (Parent_u.dist_upd u t))
+          same u (Option.get (U_by_id.solve d t))
+          && Float.equal (Table.dist_upd u t) (U_by_id.dist_upd u t))
         tractable_deltas
       && List.for_all
            (fun text ->
              let d = Fd_set.parse text in
              let u, ratio = U_approx.best d t in
-             let u', ratio' = Parent_u.best d t in
+             let u', ratio' = U_by_id.best d t in
              same u u' && Float.equal ratio ratio')
            (tractable_deltas @ refused_deltas)
       && List.for_all
@@ -225,7 +225,7 @@ let prop_positional_passes_match_parent =
                (fun s ->
                  same
                    (Transform.update_of_subset ?cover d ~table:t s)
-                   (Parent_u.update_of_subset ?cover d ~table:t s))
+                   (U_by_id.update_of_subset ?cover d ~table:t s))
                [ s; reread s ])
            [ ("A -> B", None); ("A -> B; A C -> D", Some [ "A" ]);
              ("A -> B; B -> C", None); ("A -> B; B -> C", Some [ "A"; "B" ]) ])
@@ -608,7 +608,7 @@ let () =
           prop_consensus_majority;
           Alcotest.test_case "refusals are diagnosed" `Quick test_refusals;
           Alcotest.test_case "tractability table" `Quick test_tractable_classifications;
-          prop_positional_passes_match_parent;
+          prop_positional_passes_match_by_id;
           Alcotest.test_case "composition of parts" `Quick test_compose_parts ] );
       ( "u_check",
         [ Alcotest.test_case "minimality" `Quick test_u_check_minimality;
