@@ -137,6 +137,14 @@ let field_equals sc k t =
   let rec go i = i = n || (src.[p + i] = t.[i] && go (i + 1)) in
   go 0
 
+(* An upper bound on the rows of [s], to size the builder. *)
+let newlines s =
+  let n = ref 0 in
+  for i = 0 to String.length s - 1 do
+    if String.unsafe_get s i = '\n' then incr n
+  done;
+  !n
+
 let parse_string ?(file = "<csv>") ~name s =
   let sc = scanner s in
   let read_record ~line =
@@ -167,8 +175,9 @@ let parse_string ?(file = "<csv>") ~name s =
     |> List.filter (fun k -> k <> id_col && k <> weight_col)
     |> Array.of_list
   in
-  let values = Array.make (Array.length value_cols) Value.Unit in
-  let builder = Table.Builder.create schema in
+  let codes = Array.make (Array.length value_cols) 0 in
+  let builder = Table.Builder.create ~capacity:(newlines s) schema in
+  let pool = Table.Builder.pool builder in
   (* The parsed weight of the last distinct [#weight] text. *)
   let weight_text = ref "1" and weight = ref 1.0 in
   let rec rows line =
@@ -178,9 +187,14 @@ let parse_string ?(file = "<csv>") ~name s =
       let id =
         if id_col < 0 then None
         else
-          match int_of_string_opt (field_string sc id_col) with
-          | Some _ as id -> id
-          | None -> parse_err ~file ~line "bad #id"
+          let i =
+            Value.decimal sc.src.(id_col) sc.pos.(id_col) sc.len.(id_col)
+          in
+          if i <> min_int then Some i
+          else
+            match int_of_string_opt (field_string sc id_col) with
+            | Some _ as id -> id
+            | None -> parse_err ~file ~line "bad #id"
       in
       if weight_col >= 0 && not (field_equals sc weight_col !weight_text)
       then begin
@@ -191,11 +205,17 @@ let parse_string ?(file = "<csv>") ~name s =
           weight := w
         | None -> parse_err ~file ~line "bad #weight"
       end;
-      for v = 0 to Array.length values - 1 do
+      (* A plain decimal is interned by its int; no [Value.t] is made
+         unless the pool has not seen it. *)
+      for v = 0 to Array.length codes - 1 do
         let k = value_cols.(v) in
-        values.(v) <- Value.of_substring sc.src.(k) sc.pos.(k) sc.len.(k)
+        let src = sc.src.(k) and pos = sc.pos.(k) and len = sc.len.(k) in
+        let i = Value.decimal src pos len in
+        codes.(v) <-
+          (if i <> min_int then Interner.intern_int pool i
+           else Interner.intern pool (Value.of_substring src pos len))
       done;
-      (try Table.Builder.add ?id ~weight:!weight builder (Tuple.of_array values)
+      (try Table.Builder.add_codes ?id ~weight:!weight builder codes
        with Invalid_argument m -> parse_err ~file ~line "%s" m);
       rows (line + 1)
     end

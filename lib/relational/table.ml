@@ -56,10 +56,13 @@ let check_weight what weight =
   if not (weight > 0.0) then invalid_arg (what ^ ": weight must be positive");
   if weight = Float.infinity then invalid_arg (what ^ ": weight must be finite")
 
+let check_arity what schema n =
+  if n <> Schema.arity schema then
+    invalid_arg (what ^ ": tuple arity does not match schema")
+
 let check_row schema ?(what = "Table.add") weight tuple =
   check_weight what weight;
-  if Tuple.arity tuple <> Schema.arity schema then
-    invalid_arg (what ^ ": tuple arity does not match schema")
+  check_arity what schema (Tuple.arity tuple)
 
 (* ---------- visible-row accessors ---------- *)
 
@@ -229,14 +232,16 @@ let add ?id ?(weight = 1.0) tbl tuple =
   end
 
 (* Bulk construction: validate rows in arrival order (same errors as a
-   fold over [add]), then build the columnar store in one pass. *)
+   fold over [add]) into code columns, which become the store. *)
 module Builder = struct
   type t = {
     b_schema : Schema.t;
+    b_pool : Interner.t;
     mutable b_ids : id array;
     mutable b_weights : float array;
-    mutable b_tuples : Tuple.t array;
+    mutable b_codes : int array array; (* b_codes.(col).(row) *)
     mutable b_n : int;
+    mutable b_max : id; (* the largest id so far, once [b_n > 0] *)
     mutable seen : (id, unit) Hashtbl.t option;
         (* [None] while every id has been above the previous one: the
            ids are then distinct, and the set is only built, from
@@ -244,16 +249,20 @@ module Builder = struct
   }
 
   let create ?(capacity = 16) schema =
+    let cap = max capacity 1 in
     {
       b_schema = schema;
-      b_ids = Array.make (max capacity 1) 0;
-      b_weights = Array.make (max capacity 1) 0.0;
-      b_tuples = Array.make (max capacity 1) no_tuple;
+      b_pool = Interner.create ();
+      b_ids = Array.make cap 0;
+      b_weights = Array.make cap 0.0;
+      b_codes = Array.init (Schema.arity schema) (fun _ -> Array.make cap 0);
       b_n = 0;
+      b_max = 0;
       seen = None;
     }
 
   let length b = b.b_n
+  let pool b = b.b_pool
 
   (* The set of the ids added so far, built on first use. *)
   let seen_set b =
@@ -267,52 +276,70 @@ module Builder = struct
       b.seen <- Some seen;
       seen
 
-  let add ?id ?(weight = 1.0) b tuple =
-    check_row b.b_schema weight tuple;
+  let grow b =
+    let cap = 2 * Array.length b.b_ids in
+    let extend a fill =
+      let a' = Array.make cap fill in
+      Array.blit a 0 a' 0 b.b_n;
+      a'
+    in
+    b.b_ids <- extend b.b_ids 0;
+    b.b_weights <- extend b.b_weights 0.0;
+    b.b_codes <- Array.map (fun col -> extend col 0) b.b_codes
+
+  let add_codes ?id ?(weight = 1.0) b codes =
+    check_weight "Table.add" weight;
+    check_arity "Table.add" b.b_schema (Array.length codes);
     let n = b.b_n in
     let i =
-      (* [b_ids] is not sorted in general, so the implicit-id rule
-         "one above the current maximum" needs the running maximum, not
-         the last id; while [seen] is [None] they coincide. *)
-      match (id, b.seen) with
-      | Some i, _ -> i
-      | None, _ when n = 0 -> 1
-      | None, None -> b.b_ids.(n - 1) + 1
-      | None, Some _ -> Array.fold_left max min_int (Array.sub b.b_ids 0 n) + 1
+      match id with Some i -> i | None -> if n = 0 then 1 else b.b_max + 1
     in
-    if Option.is_some b.seen || (n > 0 && i <= b.b_ids.(n - 1)) then begin
+    if Option.is_some b.seen || (n > 0 && i <= b.b_max) then begin
       let seen = seen_set b in
       if Hashtbl.mem seen i then
         invalid_arg (Printf.sprintf "Table.add: duplicate identifier %d" i);
       Hashtbl.add seen i ()
     end;
-    if b.b_n = Array.length b.b_ids then begin
-      let cap' = 2 * b.b_n in
-      let ids = Array.make cap' 0 in
-      Array.blit b.b_ids 0 ids 0 b.b_n;
-      b.b_ids <- ids;
-      let ws = Array.make cap' 0.0 in
-      Array.blit b.b_weights 0 ws 0 b.b_n;
-      b.b_weights <- ws;
-      let ts = Array.make cap' no_tuple in
-      Array.blit b.b_tuples 0 ts 0 b.b_n;
-      b.b_tuples <- ts
-    end;
-    b.b_ids.(b.b_n) <- i;
-    b.b_weights.(b.b_n) <- weight;
-    b.b_tuples.(b.b_n) <- tuple;
-    b.b_n <- b.b_n + 1
+    if n = Array.length b.b_ids then grow b;
+    b.b_ids.(n) <- i;
+    b.b_weights.(n) <- weight;
+    for c = 0 to Array.length codes - 1 do
+      b.b_codes.(c).(n) <- codes.(c)
+    done;
+    if n = 0 || i > b.b_max then b.b_max <- i;
+    b.b_n <- n + 1
 
+  let add ?id ?weight b tuple =
+    add_codes ?id ?weight b
+      (Array.init (Tuple.arity tuple) (fun c ->
+           Interner.intern b.b_pool (Tuple.get tuple c)))
+
+  (* The columns become the store as they are when the ids came in
+     increasing; otherwise they are permuted into id order. Each row's
+     tuple is decoded from one snapshot of the pool, so the cells that
+     hold one value share one [Value.t]. *)
   let build b =
     let n = b.b_n in
-    let order = Array.init n (fun k -> k) in
-    if Option.is_some b.seen then
-      Array.sort (fun k1 k2 -> compare b.b_ids.(k1) b.b_ids.(k2)) order;
-    let store = new_store b.b_schema ~cap:(max n 1) in
-    for k = 0 to n - 1 do
-      let j = order.(k) in
-      push store b.b_ids.(j) b.b_weights.(j) b.b_tuples.(j)
+    let ids, weights, codes =
+      match b.seen with
+      | None -> (b.b_ids, b.b_weights, b.b_codes)
+      | Some _ ->
+        let order = Array.init n Fun.id in
+        Array.sort (fun k1 k2 -> Int.compare b.b_ids.(k1) b.b_ids.(k2)) order;
+        let permute a = Array.map (fun k -> a.(k)) order in
+        (permute b.b_ids, permute b.b_weights, Array.map permute b.b_codes)
+    in
+    let values = Interner.to_array b.b_pool in
+    let arity = Array.length codes in
+    let cells = Array.make arity Value.Unit in
+    let tuples = Array.make (Array.length ids) no_tuple in
+    for r = 0 to n - 1 do
+      for c = 0 to arity - 1 do
+        cells.(c) <- values.(codes.(c).(r))
+      done;
+      tuples.(r) <- Tuple.of_array cells
     done;
+    let store = { pool = b.b_pool; len = n; ids; weights; tuples; codes } in
     { schema = b.b_schema; store; len = n; view = All }
 end
 

@@ -37,27 +37,43 @@ val of_list : Schema.t -> (id * float * Tuple.t) list -> t
 (** [of_tuples schema tuples] numbers tuples 1..n with unit weights. *)
 val of_tuples : Schema.t -> Tuple.t list -> t
 
-(** Bulk construction. A builder accumulates rows and commits them into
-    a columnar store in one pass — ids are tracked with a hash set and a
-    running maximum, so loading n rows is O(n) instead of the O(n log n)
-    (plus a max-binding walk per insert) of folding {!add}. Used by the
-    IO front-ends. *)
+(** Bulk construction. A builder accumulates rows as interned code
+    columns, which become the store's: loading n rows is O(n), and when
+    the ids come in increasing order {!Builder.build} copies no column.
+    Ids are checked with a running maximum, and with a hash set only
+    from the first id that is not above the previous one. Used by the
+    IO front-ends, {!of_list} and {!of_tuples}. *)
 module Builder : sig
   type table := t
   type t
 
+  (** [create ?capacity schema] has room for [capacity] rows (default
+      16) before it first grows. *)
   val create : ?capacity:int -> Schema.t -> t
 
   (** Rows accumulated so far. *)
   val length : t -> int
 
-  (** Same contract and error messages as {!Table.add}: omitted ids get
-      one above the current maximum, duplicate ids / weights that are
-      not positive and finite / arity mismatches raise
-      [Invalid_argument]. *)
+  (** The pool the builder's codes index, and the built table's. *)
+  val pool : t -> Interner.t
+
+  (** [add_codes ?id ?weight b codes] adds the row whose cell [c] is the
+      value of code [codes.(c)] in [pool b]. Same contract and error
+      messages as {!Table.add}, checked in its order: omitted ids get
+      one above the current maximum; weights that are not positive and
+      finite, arity mismatches and duplicate ids raise
+      [Invalid_argument]. [codes] is copied, not kept. A code that
+      [pool b] never assigned makes {!build} raise [Invalid_argument]. *)
+  val add_codes : ?id:id -> ?weight:float -> t -> int array -> unit
+
+  (** [add ?id ?weight b tuple] interns [tuple]'s cells into [pool b]
+      and calls {!add_codes}. *)
   val add : ?id:id -> ?weight:float -> t -> Tuple.t -> unit
 
-  (** Commit the accumulated rows. The builder must not be reused. *)
+  (** Commit the accumulated rows. Each row's tuple is decoded from the
+      pool, so cells holding equal values share one {!Value.t}. The
+      table takes over the builder's columns: the builder must not be
+      reused. *)
   val build : t -> table
 end
 

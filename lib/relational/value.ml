@@ -78,20 +78,29 @@ let rec digits s stop i acc =
     let d = Char.code (String.unsafe_get s i) - 48 in
     if d >= 0 && d <= 9 then digits s stop (i + 1) ((acc * 10) + d) else -1
 
-let of_substring s pos len =
-  if pos < 0 || len < 0 || pos > String.length s - len then
-    invalid_arg "Value.of_substring";
-  (* Fast path: an optional '-' and 1-18 digits, too short to overflow,
-     read in place. *)
+let check_range what s pos len =
+  if pos < 0 || len < 0 || pos > String.length s - len then invalid_arg what
+
+(* [decimal] on a checked range: an optional '-' and 1-18 digits, too
+   short to overflow, read in place. *)
+let decimal_in s pos len =
   let stop = pos + len in
-  let neg = len > 0 && s.[pos] = '-' in
+  let neg = len > 0 && String.unsafe_get s pos = '-' in
   let start = if neg then pos + 1 else pos in
   let n =
     if stop - start >= 1 && stop - start <= 18 then digits s stop start 0
     else -1
   in
-  if n >= 0 then Int (if neg then -n else n)
-  else of_string (String.sub s pos len)
+  if n < 0 then min_int else if neg then -n else n
+
+let decimal s pos len =
+  check_range "Value.decimal" s pos len;
+  decimal_in s pos len
+
+let of_substring s pos len =
+  check_range "Value.of_substring" s pos len;
+  let n = decimal_in s pos len in
+  if n <> min_int then Int n else of_string (String.sub s pos len)
 
 module Supply = struct
   type value = t

@@ -38,10 +38,20 @@ val triple : t -> t -> t -> t
 val of_string : string -> t
 
 (** [of_substring s pos len] is [of_string (String.sub s pos len)]; a
-    plain decimal ([-]? then 1-18 digits) is read without copying.
+    plain decimal is read by {!decimal}, without copying.
     @raise Invalid_argument if [pos] and [len] are not a valid range of
     [s]. *)
 val of_substring : string -> int -> int -> t
+
+(** [decimal s pos len] is the int spelled by the [len] bytes of [s] from
+    [pos] when they are a plain decimal: an optional ['-'] and 1 to 18
+    digits, which cannot overflow. On any other bytes it is [min_int],
+    which no plain decimal spells; {!of_substring} then reads them as
+    {!of_string} does. A plain decimal [d] is [of_string d = Int
+    (decimal d 0 (String.length d))].
+    @raise Invalid_argument if [pos] and [len] are not a valid range of
+    [s]. *)
+val decimal : string -> int -> int -> int
 
 (** Stateful supplies of fresh constants, guaranteed not to collide with any
     value already present in a given collection (fresh constants are tagged

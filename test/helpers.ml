@@ -121,7 +121,9 @@ let consistent_distance_eq ?(eps = 1e-6) a b = Float.abs (a -. b) < eps
 
 (* The first CSV reader and writer and the Format-based value printer,
    kept verbatim as executable specifications of the dialect and the
-   output bytes. The one change since: [quote_field] quotes CRs too. *)
+   output bytes. The changes since: [quote_field] quotes CRs too, and the
+   reader folds [Table.add] instead of filling a [Table.Builder], so that
+   it checks the Builder too. *)
 
 module Seed_value = struct
   let rec pp ppf = function
@@ -249,10 +251,7 @@ module Seed_csv = struct
           Repair_error.raise_error
             (Schema_mismatch { source = file; detail = m })
       in
-      let builder =
-        Table.Builder.create ~capacity:(List.length body) schema
-      in
-      let parse_row line_no record =
+      let parse_row tbl line_no record =
         let fields = fields_of ~line:line_no record in
         if List.length fields <> List.length cols then
           parse_err ~file ~line:line_no "row has %d fields, expected %d"
@@ -279,11 +278,13 @@ module Seed_csv = struct
             fields
           |> List.map Value.of_string
         in
-        try Table.Builder.add ?id ~weight builder (Tuple.make vs)
+        try Table.add ?id ~weight tbl (Tuple.make vs)
         with Invalid_argument m -> parse_err ~file ~line:line_no "%s" m
       in
-      List.iteri (fun k record -> parse_row (k + 2) record) body;
-      Table.Builder.build builder
+      List.fold_left
+        (fun (tbl, line_no) record -> (parse_row tbl line_no record, line_no + 1))
+        (Table.empty schema, 2) body
+      |> fst
 
   let parse_result ?file ~name s =
     Repair_error.guard (fun () -> parse_string ?file ~name s)

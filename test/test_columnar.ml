@@ -359,27 +359,62 @@ let prop_duplicate_free_model =
 
 (* ---------- construction-path equivalence ---------- *)
 
-(* Random (id, weight, tuple) rows with distinct ids in shuffled order:
-   folding [add] (exercising both the tip-append and the splice path)
-   must equal the bulk [of_list]/Builder path. *)
+(* Random (id, weight, tuple) rows with distinct ids in shuffled order,
+   about a quarter of them left implicit (an implicit id can then collide
+   with a later explicit one). Folding [add] (exercising both the
+   tip-append and the splice path) must give the same table or the same
+   error as the Builder, fed tuples through [add] or codes through
+   [add_codes], and as [of_list] when every id is explicit. *)
 let gen_rows =
   QCheck2.Gen.(
     let* n = int_range 0 12 in
     let* perm = shuffle_l (List.init n (fun i -> (i * 3) + 1)) in
+    let* ids =
+      flatten_l
+        (List.map (fun i -> frequencyl [ (3, Some i); (1, None) ]) perm)
+    in
     let* tws = list_repeat n (pair (gen_tuple ~dom:3 small_schema) (int_range 1 3)) in
-    return (List.map2 (fun id (t, w) -> (id, float_of_int w, t)) perm tws))
+    return (List.map2 (fun id (t, w) -> (id, float_of_int w, t)) ids tws))
 
 let prop_builder_vs_fold_add =
-  qcheck ~count:300 "of_list equals folding add over shuffled explicit ids"
+  qcheck ~count:300
+    "of_list equals folding add over shuffled ids, as do Builder.add and \
+     add_codes with implicit ids"
     gen_rows
     (fun rows ->
-      let bulk = Table.of_list small_schema rows in
+      let result f = try Ok (f ()) with Invalid_argument m -> Error m in
       let folded =
-        List.fold_left
-          (fun tbl (id, weight, t) -> Table.add ~id ~weight tbl t)
-          (Table.empty small_schema) rows
+        result (fun () ->
+            List.fold_left
+              (fun tbl (id, weight, t) -> Table.add ?id ~weight tbl t)
+              (Table.empty small_schema) rows)
       in
-      Table.equal bulk folded)
+      let built add =
+        result (fun () ->
+            let b = Table.Builder.create ~capacity:1 small_schema in
+            List.iter (fun (id, weight, t) -> add b id weight t) rows;
+            Table.Builder.build b)
+      in
+      let via_tuple b id weight t = Table.Builder.add ?id ~weight b t in
+      let via_codes b id weight t =
+        let pool = Table.Builder.pool b in
+        Table.Builder.add_codes ?id ~weight b
+          (Array.of_list (List.map (Interner.intern pool) (Tuple.values t)))
+      in
+      let explicit =
+        if List.for_all (fun (id, _, _) -> Option.is_some id) rows then
+          [ result (fun () ->
+                Table.of_list small_schema
+                  (List.map (fun (id, w, t) -> (Option.get id, w, t)) rows)) ]
+        else []
+      in
+      List.for_all
+        (fun r ->
+          match (folded, r) with
+          | Ok t1, Ok t2 -> Table.equal t1 t2
+          | Error m1, Error m2 -> m1 = m2
+          | _ -> false)
+        ([ built via_tuple; built via_codes ] @ explicit))
 
 let prop_views_are_persistent =
   qcheck ~count:300 "adding to the base never changes existing views"
@@ -516,6 +551,63 @@ let prop_opt_s_repair_bit_identical =
         && Repair_fd.Fd_set.equal_syntactic s1 s3
       | _ -> false)
 
+(* ---------- the interner ---------- *)
+
+(* The pool against an association list from values to codes: values
+   of all six constructors, ints entering through [intern] and through
+   [intern_int], and enough distinct values for several growths. Codes
+   must be dense and first-seen, [code_opt] must find exactly the
+   interned values, and [value] and [to_array] must decode them. *)
+let prop_interner_model =
+  qcheck ~count:200 "interner agrees with an association-list model"
+    QCheck2.Gen.(
+      let leaf =
+        frequency
+          [ (4, map (fun i -> `Int i) (int_range (-150) 150));
+            (2, map (fun i -> `Val (Value.str (string_of_int i))) (int_range 0 80));
+            (1, return (`Val Value.Unit));
+            (1, map (fun i -> `Val (Value.Fresh i)) (int_range 0 20));
+            (1, map2 (fun a b -> `Val (Value.pair (Value.int a) (Value.str b)))
+                  (int_range 0 5) (oneofl [ "x"; "1" ]));
+            (1, map (fun a -> `Val (Value.triple (Value.int a) Value.Unit (Value.Fresh a)))
+                  (int_range 0 5)) ]
+      in
+      list_size (int_range 0 600) (pair leaf bool))
+    (fun ops ->
+      let p = Interner.create () in
+      let model = ref [] and next = ref 0 in
+      List.for_all
+        (fun (op, by_int) ->
+          let v = match op with `Int i -> Value.int i | `Val v -> v in
+          let want =
+            match List.find_opt (fun (w, _) -> Value.equal v w) !model with
+            | Some (_, c) -> c
+            | None ->
+              let c = !next in
+              model := (v, c) :: !model;
+              incr next;
+              c
+          in
+          let got =
+            match op with
+            | `Int i when by_int -> Interner.intern_int p i
+            | _ -> Interner.intern p v
+          in
+          got = want)
+        ops
+      && Interner.size p = !next
+      && List.for_all
+           (fun (v, c) ->
+             Interner.code_opt p v = Some c
+             && Value.equal (Interner.value p c) v
+             && Value.equal (Interner.to_array p).(c) v)
+           !model
+      && Array.length (Interner.to_array p) = !next
+      && List.for_all
+           (fun v -> Interner.code_opt p v = None)
+           [ Value.int 151; Value.str "81"; Value.Fresh 21;
+             Value.pair (Value.int 6) (Value.str "x") ])
+
 (* ---------- IO round-trips through the Builder ---------- *)
 
 let prop_csv_roundtrip_bulk =
@@ -557,7 +649,8 @@ let () =
           prop_domains_model;
           prop_duplicate_free_model ] );
       ( "construction paths",
-        [ prop_builder_vs_fold_add; prop_views_are_persistent ] );
+        [ prop_builder_vs_fold_add; prop_views_are_persistent;
+          prop_interner_model ] );
       ( "repair bit-identity",
         [ prop_opt_s_repair_bit_identical ] );
       ( "io", [ prop_csv_roundtrip_bulk; prop_jsonl_roundtrip_bulk ] ) ]

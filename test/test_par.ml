@@ -564,22 +564,42 @@ let test_hammer_metrics () =
   Metrics.disable ();
   Metrics.reset ()
 
+(* Two domains intern 4,000 distinct values (2,000 ints, some through
+   [intern_int], and 2,000 strings), each in its own order, so the pool
+   grows past 16 codes eight times under contention. *)
 let test_hammer_interner () =
   let p = Interner.create () in
-  let vals off = List.init 800 (fun i -> Value.int ((i + off) mod 300)) in
-  let worker off () = List.iter (fun v -> ignore (Interner.intern p v)) (vals off) in
-  let a = Domain.spawn (worker 0) and b = Domain.spawn (worker 150) in
+  let distinct = 4000 in
+  let vals off =
+    List.init (2 * distinct) (fun k ->
+        let i = (k + off) mod distinct in
+        if i mod 2 = 0 then `Int (i / 2) else `Str (string_of_int (i / 2)))
+  in
+  let worker off () =
+    List.iteri
+      (fun k v ->
+        match v with
+        | `Int i when k mod 3 = 0 -> ignore (Interner.intern_int p i)
+        | `Int i -> ignore (Interner.intern p (Value.int i))
+        | `Str s -> ignore (Interner.intern p (Value.str s)))
+      (vals off)
+  in
+  let a = Domain.spawn (worker 0) and b = Domain.spawn (worker 1500) in
   Domain.join a;
   Domain.join b;
-  Alcotest.(check int) "no duplicate codes" 300 (Interner.size p);
+  Alcotest.(check int) "no duplicate codes" distinct (Interner.size p);
+  let seen = Array.make distinct false in
   List.iter
     (fun v ->
+      let v = match v with `Int i -> Value.int i | `Str s -> Value.str s in
       match Interner.code_opt p v with
       | None -> Alcotest.fail "interned value lost"
       | Some c ->
+        seen.(c) <- true;
         Alcotest.(check bool) "code round-trips" true
           (Value.equal (Interner.value p c) v))
-    (vals 0)
+    (vals 0);
+  Alcotest.(check bool) "codes are dense" true (Array.for_all Fun.id seen)
 
 let test_hammer_budget_ticks () =
   let worker () =

@@ -460,6 +460,29 @@ let test_jsonl_input_variants () =
   check_float "string #weight" 2.5 (Table.weight t 1);
   check_float "integral string #weight" 4.0 (Table.weight t 2)
 
+(* A line without #id takes one above the largest id so far, also
+   after ids that came out of order; a fold of [Table.add] agrees. *)
+let test_jsonl_implicit_ids () =
+  let t =
+    Jsonl_io.parse_string ~name:"R"
+      "{\"#id\": 5, \"A\": 1}\n{\"#id\": 2, \"A\": 2}\n{\"A\": 3}\n\
+       {\"#id\": 10, \"A\": 4}\n{\"#id\": 7, \"A\": 5}\n{\"A\": 6}\n\
+       {\"A\": 7}\n"
+  in
+  Alcotest.(check (list int)) "ids" [ 2; 5; 6; 7; 10; 11; 12 ] (Table.ids t);
+  Alcotest.check value "6 is the third line" (Value.int 3)
+    (Tuple.get (Table.tuple t 6) 0);
+  Alcotest.check value "11 is the sixth line" (Value.int 6)
+    (Tuple.get (Table.tuple t 11) 0);
+  let folded =
+    List.fold_left
+      (fun tbl (id, a) -> Table.add ?id tbl (Tuple.make [ Value.int a ]))
+      (Table.empty (Table.schema t))
+      [ (Some 5, 1); (Some 2, 2); (None, 3); (Some 10, 4); (Some 7, 5);
+        (None, 6); (None, 7) ]
+  in
+  Alcotest.check table "as folding Table.add" folded t
+
 (* \uXXXX escapes: exactly four hex digits, surrogate pairs combine into
    one astral-plane scalar (UTF-8, not CESU-8), and lone halves are
    line-numbered parse errors. *)
@@ -603,8 +626,9 @@ let gen_csv_text =
                             (2, "#weight"); (1, "\"E\"") ] in
     let field =
       oneofl
-        [ "1"; "2"; "3"; "-3"; "007"; "0x1F"; "1_0"; "12345678901234567890";
-          "123456789012345678"; "nan"; "inf"; "0.5"; ""; " 7 "; "_|_"; "$3";
+        [ "1"; "2"; "3"; "-3"; "007"; "-0"; " 5"; "+5"; "0x1F"; "1_0"; "1_000";
+          "12345678901234567890"; "1234567890123456789"; "123456789012345678";
+          "-"; "\"12\""; "nan"; "inf"; "0.5"; ""; " 7 "; "_|_"; "$3";
           "x"; "\xc3\xa9"; "\"a,b\""; "\"x\"\"y\""; "\"q\"\r\"r\""; "\"m\nn\"";
           "\"open"; "a\"b\"c"; "\r"; "\012"; "1\r"; " \t" ]
     in
@@ -840,6 +864,7 @@ let () =
           Alcotest.test_case "unicode escapes" `Quick
             test_jsonl_unicode_escapes;
           Alcotest.test_case "input variants" `Quick test_jsonl_input_variants;
+          Alcotest.test_case "implicit ids" `Quick test_jsonl_implicit_ids;
           Alcotest.test_case "errors" `Quick test_jsonl_errors;
           Alcotest.test_case "fractional weight" `Quick test_jsonl_fractional_weight;
           Alcotest.test_case "file roundtrips" `Quick test_file_io_roundtrips ] );
