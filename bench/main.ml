@@ -1254,8 +1254,11 @@ let e24 () =
    distance taken with [Table.dist_upd] (u-dist). Each layer is timed
    once, after a full major collection, as in E20. Rendering the table
    read back must give the same text, and from 10k to 100k rows (10× the
-   data) each layer's time may grow at most 20×. Not in the smoke
-   subset. *)
+   data) each layer's time may grow at most 20×. Then csv-load-small
+   parses a 100-row, 5-attribute table, the size of a serve request,
+   10,000 times, and records the fastest batch of 1,000: a small load
+   may take at most 2× the 10k point's time per row, so that per-load
+   set-up cannot outweigh the rows. Not in the smoke subset. *)
 let e25 () =
   section "E25" "End-to-end layers — CSV load and render, U-repair";
   let schema = Schema.make "T" [ "facility"; "room"; "city"; "floor" ] in
@@ -1309,7 +1312,37 @@ let e25 () =
       row "  %s 100k/10k time ratio (linear = 10x): %.1fx@." layer growth;
       check (Printf.sprintf "%s 100k/10k time ratio is at most 20x" layer)
         (growth <= 20.0))
-    [ "csv-load"; "csv-render"; "u-solve"; "u-dist" ]
+    [ "csv-load"; "csv-render"; "u-solve"; "u-dist" ];
+  let small =
+    Csv_io.to_string
+      (Gen_table.dirty (Rng.make 100)
+         (Schema.make "T" [ "A"; "B"; "C"; "D"; "E" ])
+         (Fd_set.parse "A -> B; C -> D")
+         { Gen_table.default with n = 100; noise = 0.05; domain_size = 1000 })
+  in
+  (* The 10k point is one short run that a quiet moment can make fast,
+     while a long loop of small parses always pays the machine's slow
+     moments too; the fastest of 10 batches of 1,000 parses is the
+     comparable reading. *)
+  let batch () =
+    let (), ms =
+      time (fun () ->
+          for _ = 1 to 1000 do
+            ignore (Csv_io.parse_string ~name:"T" small)
+          done)
+    in
+    ms /. 1000.0
+  in
+  let per_parse = List.fold_left min infinity (List.init 10 (fun _ -> batch ())) in
+  record ~n:100 ~solver:"csv-load-small/n=100" ~wall_ms:per_parse ();
+  let per_row = per_parse /. 100.0
+  and per_row_10k = Hashtbl.find times ("csv-load", 10_000) /. 10_000.0 in
+  row "  csv-load-small n=100: %.1f us per parse, %.3f us per row \
+       (%.2fx the 10k point's %.3f us)@."
+    (per_parse *. 1000.0) (per_row *. 1000.0) (per_row /. per_row_10k)
+    (per_row_10k *. 1000.0);
+  check "csv-load-small time per row is at most 2x the 10k point's"
+    (per_row <= 2.0 *. per_row_10k)
 
 (* ------------------------------------------------------------- runner *)
 

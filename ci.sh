@@ -114,6 +114,29 @@ for case in "io.csv|facility -> facility" "hand.csv|A -> A"; do
     cmp "$tdir/$input" "$tdir/io.out"
   done
 done
+# Its twin spells every facility with leading zeros (still a plain
+# decimal, read in place) and every city with a leading + (read by
+# Value.of_string); under the office Δ and a trivial Δ, both must repair
+# to the same bytes and the same distance line.
+awk -F, -v OFS=, 'NR > 1 { $3 = "00" $3; $5 = "+" $5 } { print }' \
+  "$tdir/io.csv" > "$tdir/io_twin.csv"
+for fds in "$office_fds" "facility -> facility"; do
+  for sub in s-repair u-repair; do
+    for input in io io_twin; do
+      ./_build/default/bin/repair_cli.exe "$sub" -f "$fds" \
+        "$tdir/$input.csv" -o "$tdir/$input.out" 2> "$tdir/$input.err"
+    done
+    cmp "$tdir/io.out" "$tdir/io_twin.out"
+    cmp "$tdir/io.err" "$tdir/io_twin.err"
+  done
+done
+# JSONL rows without #id after an out-of-order #id each take one above
+# the largest id so far; 40k of them must load in linear time.
+awk 'BEGIN { print "{\"#id\": 2, \"A\": 1}"; print "{\"#id\": 1, \"A\": 2}";
+  for (k = 0; k < 40000; k++) printf "{\"A\": %d}\n", k % 100 }' \
+  > "$tdir/late_ids.jsonl"
+timeout 10 ./_build/default/bin/repair_cli.exe s-repair -f "A -> A" \
+  "$tdir/late_ids.jsonl" -o /dev/null 2> /dev/null
 
 # One Auto ladder from every front end (DESIGN §6): on a trivial Δ, the
 # office Δ at 2,500 rows, and A -> B; B -> C at 6, 40 and 300 rows (both
