@@ -26,13 +26,9 @@ type t = {
   lock : Mutex.t;
 }
 
-let create ?(capacity = 16) () =
-  let cap = ref 16 in
-  while !cap < capacity do
-    cap := 2 * !cap
-  done;
-  { values = Array.make !cap Value.Unit;
-    slots = Array.make (2 * !cap) (-1);
+let create () =
+  { values = Array.make 16 Value.Unit;
+    slots = Array.make 32 (-1);
     n = 0;
     lock = Mutex.create () }
 

@@ -22,9 +22,8 @@
 
 type t
 
-(** [create ?capacity ()] is an empty pool with room for [capacity]
-    codes (default 16) before it first grows. *)
-val create : ?capacity:int -> unit -> t
+(** [create ()] is an empty pool. *)
+val create : unit -> t
 
 (** Number of distinct values interned so far. *)
 val size : t -> int
