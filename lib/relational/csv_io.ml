@@ -137,13 +137,20 @@ let field_equals sc k t =
   let rec go i = i = n || (src.[p + i] = t.[i] && go (i + 1)) in
   go 0
 
-(* An upper bound on the rows of [s], to size the builder. *)
-let newlines s =
-  let n = ref 0 in
-  for i = 0 to String.length s - 1 do
-    if String.unsafe_get s i = '\n' then incr n
+(* Room for the rows of [s] from byte [start] on, to size the builder:
+   one per line, which is exact when each record is one non-blank line.
+   Blank lines and newlines inside quotes make no row, so the count is
+   capped by what the bytes can hold: a row of [ncols] fields takes at
+   least [ncols] bytes, its commas and its newline, and the last row may
+   lack the newline. *)
+let row_capacity s start ncols =
+  let len = String.length s in
+  let lines = ref 0 in
+  for i = start to len - 1 do
+    if String.unsafe_get s i = '\n' then incr lines
   done;
-  !n
+  if start < len && s.[len - 1] <> '\n' then incr lines;
+  min !lines (((len - start) / ncols) + 1)
 
 let parse_string ?(file = "<csv>") ~name s =
   let sc = scanner s in
@@ -176,7 +183,9 @@ let parse_string ?(file = "<csv>") ~name s =
     |> Array.of_list
   in
   let codes = Array.make (Array.length value_cols) 0 in
-  let builder = Table.Builder.create ~capacity:(newlines s) schema in
+  let builder =
+    Table.Builder.create ~capacity:(row_capacity s sc.next ncols) schema
+  in
   let pool = Table.Builder.pool builder in
   (* The parsed weight of the last distinct [#weight] text. *)
   let weight_text = ref "1" and weight = ref 1.0 in

@@ -315,14 +315,16 @@ module Builder = struct
            Interner.intern b.b_pool (Tuple.get tuple c)))
 
   (* The columns become the store as they are when the ids came in
-     increasing; otherwise they are permuted into id order. Each row's
-     tuple is decoded from one snapshot of the pool, so the cells that
-     hold one value share one [Value.t]. *)
+     increasing order and fill the builder's room; otherwise spare room
+     is cut off, or ids out of order are permuted into id order. Each
+     row's tuple is decoded from one snapshot of the pool, so the cells
+     that hold one value share one [Value.t]. *)
   let build b =
     let n = b.b_n in
+    let fit a = if Array.length a = n then a else Array.sub a 0 n in
     let ids, weights, codes =
       match b.seen with
-      | None -> (b.b_ids, b.b_weights, b.b_codes)
+      | None -> (fit b.b_ids, fit b.b_weights, Array.map fit b.b_codes)
       | Some _ ->
         let order = Array.init n Fun.id in
         Array.sort (fun k1 k2 -> Int.compare b.b_ids.(k1) b.b_ids.(k2)) order;
@@ -332,7 +334,7 @@ module Builder = struct
     let values = Interner.to_array b.b_pool in
     let arity = Array.length codes in
     let cells = Array.make arity Value.Unit in
-    let tuples = Array.make (Array.length ids) no_tuple in
+    let tuples = Array.make n no_tuple in
     for r = 0 to n - 1 do
       for c = 0 to arity - 1 do
         cells.(c) <- values.(codes.(c).(r))

@@ -39,7 +39,8 @@ val of_tuples : Schema.t -> Tuple.t list -> t
 
 (** Bulk construction. A builder accumulates rows as interned code
     columns, which become the store's: loading n rows is O(n), and when
-    the ids come in increasing order {!Builder.build} copies no column.
+    the ids come in increasing order into a builder created with room
+    for exactly n rows, {!Builder.build} copies no column.
     Ids are checked with a running maximum, and with a hash set only
     from the first id that is not above the previous one. Used by the
     IO front-ends, {!of_list} and {!of_tuples}. *)
@@ -72,8 +73,8 @@ module Builder : sig
 
   (** Commit the accumulated rows. Each row's tuple is decoded from the
       pool, so cells holding equal values share one {!Value.t}. The
-      table takes over the builder's columns: the builder must not be
-      reused. *)
+      table takes over the builder's columns, cut to the rows added
+      when the builder has spare room: the builder must not be reused. *)
   val build : t -> table
 end
 

@@ -420,6 +420,32 @@ let test_csv_dialect () =
     (Some 2, "unterminated quoted field")
     (error "A,B\n1,\"x\n\n\n")
 
+(* A load's memory follows its bytes, not its newlines: blank lines and
+   newlines inside quotes make no row, so a wide header over 50,000 or
+   more of them may neither allocate 50 columns of room for each nor
+   keep any room it did not fill. *)
+let test_csv_load_memory () =
+  let header = String.concat "," (List.init 50 (Printf.sprintf "A%d")) in
+  let load what text rows =
+    let before = Gc.allocated_bytes () in
+    let t = Csv_io.parse_string ~name:"R" text in
+    let allocated = Gc.allocated_bytes () -. before in
+    let kept = Obj.reachable_words (Obj.repr t) * (Sys.word_size / 8) in
+    let len = String.length text in
+    Alcotest.(check int) (what ^ ": rows") rows (Table.size t);
+    if allocated > 64.0 *. float_of_int len then
+      Alcotest.failf "%s: %.0f bytes allocated for %d input bytes" what
+        allocated len;
+    if kept > 2 * len then
+      Alcotest.failf "%s: %d bytes kept for %d input bytes" what kept len
+  in
+  load "blank lines" (header ^ String.make 100_000 '\n') 0;
+  load "newlines in a quoted field"
+    (header ^ "\n" ^ String.make 49 ',' ^ "\""
+    ^ String.concat "" (List.init 50_000 (fun _ -> "x\n"))
+    ^ "\"\n")
+    1
+
 (* ---------- JSON lines ---------- *)
 
 let test_jsonl_roundtrip () =
@@ -878,6 +904,7 @@ let () =
           Alcotest.test_case "errors" `Quick test_csv_errors;
           Alcotest.test_case "non-finite weights" `Quick test_nonfinite_weights;
           Alcotest.test_case "dialect" `Quick test_csv_dialect;
+          Alcotest.test_case "load memory" `Quick test_csv_load_memory;
           prop_csv_junk_like_seed;
           prop_csv_text_like_seed;
           prop_csv_render_like_seed;
